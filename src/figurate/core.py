@@ -13,7 +13,8 @@ Every operation here is a pure function. Conventions:
 * m is an integer >= 3 (the polygon order), n is a 1-based term index >= 1;
   a list of terms maps position k to index n = k.
 * All arithmetic is exact: terms are Python ints, quotients and recurrence
-  coefficients are `fractions.Fraction`. No floating point, ever.
+  coefficients are `fractions.Fraction` at the public API and integer pairs
+  inside. No floating point, ever.
 
 The module deliberately provides several routes to the same values (two
 closed forms, a first-order recurrence, a second-order recurrence with
@@ -23,6 +24,9 @@ be checked against each other; none of them delegates to another.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,11 +68,98 @@ def _check_index(n: int, minimum: int = 1, what: str = "term index") -> None:
         raise ValueError(f"{what} must be >= {minimum}, got {n}")
 
 
-def _exact_half(product: int) -> int:
-    half, remainder = divmod(product, 2)
-    if remainder:
-        raise InvariantViolation(f"{product} is odd; halving it would truncate")
-    return half
+# Unchecked kernels. Each route is an infinite generator of exact ints that
+# trusts its polygon order; the public functions below validate their
+# arguments once and then slice a generator. No route reads another route.
+
+
+def _closed_form_terms(m: int, first: int = 1) -> Iterator[int]:
+    for n in itertools.count(first):
+        term, odd = divmod(n * ((m - 2) * n - m + 4), 2)
+        if odd:
+            raise InvariantViolation(f"n((m - 2)n - m + 4) is odd at m={m} n={n}")
+        yield term
+
+
+def _alt_form_terms(m: int, first: int = 1) -> Iterator[int]:
+    for n in itertools.count(first):
+        half, odd = divmod((m - 2) * (n * n - n), 2)
+        if odd:
+            raise InvariantViolation(f"(m - 2)(n^2 - n) is odd at m={m} n={n}")
+        yield half + n
+
+
+def _first_order_terms(m: int) -> Iterator[int]:
+    term = 1
+    for n in itertools.count(1):
+        yield term
+        term += 1 + (m - 2) * n
+
+
+def _coefficients(m: int, first: int = 3) -> Iterator[tuple[int, int, int]]:
+    """(r, t, d) with R(n) = r/d, T(n) = t/d and d = 1 + (n - 2)(m - 2) > 0, for n = first, ..."""
+    for n in itertools.count(first):
+        stretch = (n - 2) * (m - 2)
+        yield m + 2 * stretch, -(m - 1 + stretch), 1 + stretch
+
+
+def _second_order_terms(m: int) -> Iterator[int]:
+    older, old = 1, m
+    yield older
+    yield old
+    for n, (r, t, d) in zip(itertools.count(3), _coefficients(m)):
+        value, remainder = divmod(r * old + t * older, d)
+        if remainder:
+            step = Fraction(r * old + t * older, d)
+            raise InvariantViolation(f"second-order step gave non-integer {step} at m={m} n={n}")
+        yield value
+        older, old = old, value
+
+
+def _progression_terms(m: int) -> Iterator[int]:
+    total = 0
+    for k in itertools.count():
+        total += 1 + k * (m - 2)
+        yield total
+
+
+def _direct_quotients(m: int) -> Iterator[tuple[int, int]]:
+    """x(n) = S(n+1)/S(n) for n = 1, 2, ... as unreduced pairs (S(n+1), S(n))."""
+    return ((after, term) for term, after in itertools.pairwise(_closed_form_terms(m)))
+
+
+def _recurrence_quotients(m: int) -> Iterator[tuple[int, int]]:
+    """x(n) for n = 1, 2, ... via x(n) = R(n+1) + T(n+1)/x(n-1), as pairs (p, q) in lowest terms."""
+    p, q = m, 1
+    yield p, q
+    for n, (r, t, d) in zip(itertools.count(2), _coefficients(m)):
+        if p <= 0:
+            # unreachable: every quotient exceeds 1; guarded anyway
+            raise InvariantViolation(f"non-positive quotient at m={m} n={n - 1}")
+        numerator, denominator = r * p + t * q, d * p
+        common = math.gcd(numerator, denominator)
+        p, q = numerator // common, denominator // common
+        yield p, q
+
+
+def _compare(x: tuple[int, int], y: tuple[int, int]) -> int:
+    """An int with the sign of x - y, for rationals given as pairs with positive denominators."""
+    return x[0] * y[1] - y[0] * x[1]
+
+
+def _doslic_delta(
+    here: tuple[int, int, int], ahead: tuple[int, int, int], x: tuple[int, int]
+) -> int:
+    """dR(n) * x + dT(n), scaled by D(n) * D(n+1) * (denominator of x) > 0.
+
+    `here` and `ahead` are the coefficient triples (r, t, d) at n and n + 1,
+    with d > 0; x is a pair with a positive denominator. The result is an
+    int with the sign of the Doslic difference expression.
+    """
+    r, t, d = here
+    r_ahead, t_ahead, d_ahead = ahead
+    numerator, denominator = x
+    return (r_ahead * d - r * d_ahead) * numerator + (t_ahead * d - t * d_ahead) * denominator
 
 
 def closed_form(m: int, n: int) -> int:
@@ -78,7 +169,7 @@ def closed_form(m: int, n: int) -> int:
     """
     _check_polygon_order(m)
     _check_index(n)
-    return _exact_half(n * ((m - 2) * n - m + 4))
+    return next(_closed_form_terms(m, n))
 
 
 def closed_form_alt(m: int, n: int) -> int:
@@ -89,7 +180,7 @@ def closed_form_alt(m: int, n: int) -> int:
     """
     _check_polygon_order(m)
     _check_index(n)
-    return _exact_half((m - 2) * (n * n - n)) + n
+    return next(_alt_form_terms(m, n))
 
 
 def gnomon(m: int, n: int) -> int:
@@ -103,10 +194,7 @@ def generate_first_order(m: int, count: int) -> list[int]:
     """First `count` m-gonal numbers via S(n+1) = S(n) + gnomon, S(1) = 1."""
     _check_polygon_order(m)
     _check_index(count, what="count")
-    terms = [1]
-    for n in range(1, count):
-        terms.append(terms[-1] + 1 + (m - 2) * n)
-    return terms
+    return list(itertools.islice(_first_order_terms(m), count))
 
 
 def coefficient_r(m: int, n: int) -> Fraction:
@@ -116,8 +204,8 @@ def coefficient_r(m: int, n: int) -> Fraction:
     """
     _check_polygon_order(m)
     _check_index(n, minimum=3)
-    stretch = (n - 2) * (m - 2)
-    return Fraction(m + 2 * stretch, 1 + stretch)
+    r, _, d = next(_coefficients(m, n))
+    return Fraction(r, d)
 
 
 def coefficient_t(m: int, n: int) -> Fraction:
@@ -127,8 +215,8 @@ def coefficient_t(m: int, n: int) -> Fraction:
     """
     _check_polygon_order(m)
     _check_index(n, minimum=3)
-    stretch = (n - 2) * (m - 2)
-    return Fraction(-(m - 1 + stretch), 1 + stretch)
+    _, t, d = next(_coefficients(m, n))
+    return Fraction(t, d)
 
 
 @dataclass(frozen=True)
@@ -154,15 +242,7 @@ def generate_second_order(m: int, count: int) -> list[int]:
     """
     _check_polygon_order(m)
     _check_index(count, minimum=1, what="count")
-    terms = [1, m][:count]
-    for n in range(3, count + 1):
-        value = coefficient_r(m, n) * terms[-1] + coefficient_t(m, n) * terms[-2]
-        if value.denominator != 1:
-            raise InvariantViolation(
-                f"second-order step gave non-integer {value} at m={m} n={n}"
-            )
-        terms.append(value.numerator)
-    return terms
+    return list(itertools.islice(_second_order_terms(m), count))
 
 
 def progression_sums(m: int, count: int) -> list[int]:
@@ -174,12 +254,7 @@ def progression_sums(m: int, count: int) -> list[int]:
     """
     _check_polygon_order(m)
     _check_index(count, what="count")
-    sums = []
-    total = 0
-    for k in range(count):
-        total += 1 + k * (m - 2)
-        sums.append(total)
-    return sums
+    return list(itertools.islice(_progression_terms(m), count))
 
 
 def quotient_direct(m: int, count: int) -> list[Fraction]:
@@ -189,13 +264,7 @@ def quotient_direct(m: int, count: int) -> list[Fraction]:
     """
     _check_polygon_order(m)
     _check_index(count, what="count")
-    quotients = []
-    previous = 1
-    for n in range(1, count + 1):
-        current = closed_form(m, n + 1)
-        quotients.append(Fraction(current, previous))
-        previous = current
-    return quotients
+    return [Fraction(p, q) for p, q in itertools.islice(_direct_quotients(m), count)]
 
 
 def quotient_recurrence(m: int, count: int) -> list[Fraction]:
@@ -211,11 +280,4 @@ def quotient_recurrence(m: int, count: int) -> list[Fraction]:
     """
     _check_polygon_order(m)
     _check_index(count, what="count")
-    quotients = [Fraction(m)]
-    for n in range(2, count + 1):
-        previous = quotients[-1]
-        if previous == 0:
-            # unreachable: every quotient exceeds 1; guarded anyway
-            raise InvariantViolation(f"zero quotient at m={m} n={n - 1}")
-        quotients.append(coefficient_r(m, n + 1) + coefficient_t(m, n + 1) / previous)
-    return quotients
+    return [Fraction(p, q) for p, q in itertools.islice(_recurrence_quotients(m), count)]

@@ -18,6 +18,7 @@ counterexample found on this window", never a claim about all n.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -26,10 +27,13 @@ from fractions import Fraction
 from figurate.core import (
     _check_index,
     _check_polygon_order,
-    closed_form,
+    _closed_form_terms,
+    _coefficients,
+    _compare,
+    _direct_quotients,
+    _doslic_delta,
     coefficient_r,
     coefficient_t,
-    quotient_direct,
 )
 
 __all__ = [
@@ -340,7 +344,9 @@ def check_doslic_criterion(
     immediately preceding quotient or the one before it.
 
     The keyword-only r_of / t_of callables (n -> Fraction) replace the real
-    coefficient functions; they exist for fault injection in tests.
+    coefficient functions; they exist for fault injection in tests. Every
+    condition is decided on integers: R(n) and T(n) become the triple
+    (r, t, d) with R(n) = r/d, T(n) = t/d and d > 0.
     """
     _check_polygon_order(m)
     _check_index(n_start, minimum=3, what="window start")
@@ -348,27 +354,31 @@ def check_doslic_criterion(
         raise ValueError(f"window end must be >= window start, got [{n_start}, {n_end}]")
     if delta_offset not in (1, 2):
         raise ValueError(f"delta_offset must be 1 or 2, got {delta_offset}")
-    if r_of is None:
-        r_of = lambda n: coefficient_r(m, n)
-    if t_of is None:
-        t_of = lambda n: coefficient_t(m, n)
+    if r_of is None and t_of is None:
+        coefficients = _coefficients(m, n_start)
+    else:
+        coefficients = _hooked_coefficients(
+            r_of or (lambda n: coefficient_r(m, n)),
+            t_of or (lambda n: coefficient_t(m, n)),
+            n_start,
+        )
 
     first_r: int | None = None
     first_t: int | None = None
     first_delta: int | None = None
-    for n in range(n_start, n_end + 1):
-        if r_of(n) < 0 and first_r is None:
+    window = range(n_start, n_end + 1)
+    # x(n - delta_offset) for each n in the window
+    lagged = itertools.islice(_direct_quotients(m), n_start - delta_offset - 1, None)
+    for n, x, (here, ahead) in zip(window, lagged, itertools.pairwise(coefficients)):
+        if here[0] < 0 and first_r is None:
             first_r = n
-        if t_of(n) > 0 and first_t is None:
+        if here[1] > 0 and first_t is None:
             first_t = n
-        delta = (r_of(n + 1) - r_of(n)) * _quotient(m, n - delta_offset) + (
-            t_of(n + 1) - t_of(n)
-        )
-        if delta > 0 and first_delta is None:
+        if _doslic_delta(here, ahead, x) > 0 and first_delta is None:
             first_delta = n
 
-    seeds = quotient_direct(m, n_start + 1)
-    seed_ok = seeds[n_start - 1] >= seeds[n_start]
+    seed, following = itertools.islice(_direct_quotients(m), n_start - 1, n_start + 1)
+    seed_ok = _compare(seed, following) >= 0
 
     return CriterionReport(
         window=(n_start, n_end),
@@ -380,8 +390,15 @@ def check_doslic_criterion(
     )
 
 
-def _quotient(m: int, n: int) -> Fraction:
-    return Fraction(closed_form(m, n + 1), closed_form(m, n))
+def _hooked_coefficients(r_of, t_of, first: int):
+    """(r, t, d) for n = first, ... from callables n -> R(n), T(n), over a common d > 0."""
+    for n in itertools.count(first):
+        big_r, big_t = Fraction(r_of(n)), Fraction(t_of(n))
+        yield (
+            big_r.numerator * big_t.denominator,
+            big_t.numerator * big_r.denominator,
+            big_r.denominator * big_t.denominator,
+        )
 
 
 def margin_sequence(m: int, count: int) -> list[int]:
@@ -392,7 +409,7 @@ def margin_sequence(m: int, count: int) -> list[int]:
     """
     _check_polygon_order(m)
     _check_index(count, minimum=3, what="count")
-    terms = [closed_form(m, n) for n in range(1, count + 1)]
+    terms = list(itertools.islice(_closed_form_terms(m), count))
     return [
         terms[j - 1] * terms[j - 1] - terms[j - 2] * terms[j] for j in range(2, count)
     ]

@@ -11,25 +11,32 @@ exact counterexample, reported as (check, m, n, witness). The checks:
 * margins: every log-concavity margin is >= 0 (zero margins are noted);
 * doslic: the Doslic criterion conditions hold on [3, n_max].
 
-Sweeps are pure and deterministic; m values are processed in ascending
-order, checks in the canonical order above.
+Sweeps are pure and deterministic; checks run in the canonical order above,
+each over ascending m, and a check that has failed is not evaluated for
+later m. For each m a check makes one streaming pass over n = 1..n_max,
+zipping the integer route generators it needs from `figurate.core`, in O(1)
+memory per route. Rationals are integer pairs (numerator, positive
+denominator) compared by cross-multiplication; a `Fraction` is built only to
+render a witness or a note.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from figurate.core import (
-    closed_form,
-    closed_form_alt,
-    generate_first_order,
-    generate_second_order,
-    progression_sums,
-    quotient_direct,
-    quotient_recurrence,
+    _alt_form_terms,
+    _closed_form_terms,
+    _compare,
+    _direct_quotients,
+    _first_order_terms,
+    _progression_terms,
+    _recurrence_quotients,
+    _second_order_terms,
 )
-from figurate.logbehavior import check_doslic_criterion, check_quotient_bounds, margin_sequence
+from figurate.logbehavior import check_doslic_criterion
 
 __all__ = [
     "CHECK_NAMES",
@@ -43,6 +50,10 @@ __all__ = [
 CHECK_NAMES = ("cross-formula", "bounds", "monotonicity", "margins", "doslic")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class VerifySweepConfig:
     """Sweep parameters; defaults cover m in [3, 50] up to n = 2000."""
@@ -54,6 +65,14 @@ class VerifySweepConfig:
     delta_offset: int = 2
 
     def __post_init__(self):
+        for name in ("m_from", "m_to", "n_max", "delta_offset"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if isinstance(self.checks, str):
+            raise TypeError(
+                f"checks must be a sequence of check names, not the string {self.checks!r}"
+            )
         if self.m_from < 3:
             raise ValueError(f"m_from must be >= 3, got {self.m_from}")
         if self.m_to < self.m_from:
@@ -62,15 +81,16 @@ class VerifySweepConfig:
             raise ValueError(f"n_max must be >= 3, got {self.n_max}")
         if self.delta_offset not in (1, 2):
             raise ValueError(f"delta_offset must be 1 or 2, got {self.delta_offset}")
-        unknown = [name for name in self.checks if name not in CHECK_NAMES]
+        checks = tuple(self.checks)
+        unknown = [name for name in checks if name not in CHECK_NAMES]
         if unknown:
             raise ValueError(
                 f"unknown checks {unknown}; valid names: {', '.join(CHECK_NAMES)}"
             )
-        if not self.checks:
+        if not checks:
             raise ValueError("at least one check must be selected")
         # normalize to canonical order, dropping duplicates
-        ordered = tuple(name for name in CHECK_NAMES if name in self.checks)
+        ordered = tuple(name for name in CHECK_NAMES if name in checks)
         object.__setattr__(self, "checks", ordered)
 
 
@@ -113,79 +133,112 @@ class SweepReport:
         raise KeyError(f"no summary for check {check!r}")
 
 
+_ROUTES = (
+    ("closed-form", _closed_form_terms),
+    ("alt-form", _alt_form_terms),
+    ("first-order", _first_order_terms),
+    ("second-order", _second_order_terms),
+    ("progression-sum", _progression_terms),
+)
+_CORRUPTED_ROUTE = 2  # corrupt_at perturbs the first-order route
+
+
+def _corrupted(terms, n):
+    """The stream `terms` with its n-th value (1-based) raised by one."""
+    for index, value in enumerate(terms, start=1):
+        yield value + 1 if index == n else value
+
+
 def _check_cross_formula(m, config, corrupt_at):
-    n_max = config.n_max
-    routes = (
-        ("closed-form", [closed_form(m, n) for n in range(1, n_max + 1)]),
-        ("alt-form", [closed_form_alt(m, n) for n in range(1, n_max + 1)]),
-        ("first-order", generate_first_order(m, n_max)),
-        ("second-order", generate_second_order(m, n_max)),
-        ("progression-sum", progression_sums(m, n_max)),
-    )
-    if corrupt_at is not None and corrupt_at[0] == m and 1 <= corrupt_at[1] <= n_max:
-        routes[2][1][corrupt_at[1] - 1] += 1
-    anchor_name, anchor = routes[0]
-    for name, values in routes[1:]:
-        for n in range(1, n_max + 1):
-            if values[n - 1] != anchor[n - 1]:
-                witness = f"{anchor_name}={anchor[n - 1]} {name}={values[n - 1]}"
-                return Counterexample("cross-formula", m, n, witness), []
-    return None, []
+    """Reports the first route, in route order, that disagrees with the closed form."""
+    routes = [route(m) for _, route in _ROUTES]
+    if corrupt_at is not None and corrupt_at[0] == m:
+        routes[_CORRUPTED_ROUTE] = _corrupted(routes[_CORRUPTED_ROUTE], corrupt_at[1])
+    first = {}  # route position -> (n, witness) of its first disagreement
+    for n, terms in zip(range(1, config.n_max + 1), zip(*routes)):
+        anchor = terms[0]
+        if terms.count(anchor) == len(terms):
+            continue
+        for position, value in enumerate(terms):
+            if value != anchor and position not in first:
+                witness = f"{_ROUTES[0][0]}={anchor} {_ROUTES[position][0]}={value}"
+                first[position] = (n, witness)
+    if not first:
+        return None, []
+    n, witness = first[min(first)]
+    return Counterexample("cross-formula", m, n, witness), []
+
+
+def _seed_quotients(m):
+    """x(1), x(2), x(3) in closed form, m, 3 - 3/m and 2 - 2/(3(m - 1)), as pairs."""
+    return (m, 1), (3 * m - 3, m), (6 * m - 8, 3 * m - 3)
 
 
 def _check_bounds(m, config, corrupt_at):
-    quotients = quotient_direct(m, config.n_max)
-    report = check_quotient_bounds(m, quotients)
-    violations = []
-    if not report.lower.ok:
-        n = report.lower.first_failure
-        violations.append((n, f"x({n})={quotients[n - 1]} is not > 1"))
-    if not report.upper.ok:
-        n = report.upper.first_failure
-        violations.append((n, f"x({n})={quotients[n - 1]} exceeds m={m}"))
-    seeds = (
-        (1, Fraction(m)),
-        (2, 3 - Fraction(3, m)),
-        (3, 2 - Fraction(2, 3 * (m - 1))),
-    )
-    for n, expected in seeds:
-        if n <= config.n_max and quotients[n - 1] != expected:
-            violations.append((n, f"x({n})={quotients[n - 1]} expected {expected}"))
-    if violations:
-        n, witness = min(violations)
-        return Counterexample("bounds", m, n, witness), []
+    """1 < x(n) <= m and the seeds x(1..3); the smallest failing n, ties by witness text."""
+    seeds = _seed_quotients(m)
+    for n, x in zip(range(1, config.n_max + 1), _direct_quotients(m)):
+        p, q = x
+        low = p <= q
+        high = p > m * q
+        off_seed = n <= 3 and _compare(x, seeds[n - 1]) != 0
+        if not (low or high or off_seed):
+            continue
+        value = Fraction(p, q)
+        violations = []
+        if low:
+            violations.append(f"x({n})={value} is not > 1")
+        if high:
+            violations.append(f"x({n})={value} exceeds m={m}")
+        if off_seed:
+            violations.append(f"x({n})={value} expected {Fraction(*seeds[n - 1])}")
+        return Counterexample("bounds", m, n, min(violations)), []
     return None, []
 
 
 def _check_monotonicity(m, config, corrupt_at):
-    direct = quotient_direct(m, config.n_max)
-    recurred = quotient_recurrence(m, config.n_max)
+    """The two quotient routes agree on the whole window, then the quotients never increase.
+
+    A disagreement anywhere outranks an earlier increase. The order is read
+    from the reduced recurrence pairs, never from the margins, so the
+    quotient and margin routes to log-concavity stay independent.
+    """
+    increase = None
     notes = []
-    for n in range(1, config.n_max + 1):
-        if direct[n - 1] != recurred[n - 1]:
-            witness = f"direct={direct[n - 1]} recurrence={recurred[n - 1]}"
-            return Counterexample("monotonicity", m, n, witness), notes
-    for n in range(1, config.n_max):
-        if direct[n] > direct[n - 1]:
-            witness = f"x({n})={direct[n - 1]} < x({n + 1})={direct[n]}"
-            return Counterexample("monotonicity", m, n + 1, witness), notes
-        if direct[n] == direct[n - 1]:
-            notes.append(f"equality x({n}) = x({n + 1}) = {direct[n]} at m={m}")
-    return None, notes
+    previous = None
+    rows = zip(range(1, config.n_max + 1), _direct_quotients(m), _recurrence_quotients(m))
+    for n, direct, recurred in rows:
+        if _compare(direct, recurred) != 0:
+            witness = f"direct={Fraction(*direct)} recurrence={Fraction(*recurred)}"
+            return Counterexample("monotonicity", m, n, witness), []
+        if previous is not None and increase is None:
+            order = _compare(recurred, previous)
+            if order > 0:
+                witness = f"x({n - 1})={Fraction(*previous)} < x({n})={Fraction(*recurred)}"
+                increase = Counterexample("monotonicity", m, n, witness)
+            elif order == 0:
+                notes.append(f"equality x({n - 1}) = x({n}) = {Fraction(*recurred)} at m={m}")
+        previous = recurred
+    return increase, notes
 
 
 def _check_margins(m, config, corrupt_at):
+    """S(j)^2 - S(j-1) S(j+1) >= 0 for j = 2..n_max-1; zero margins are noted."""
     notes = []
-    for position, margin in enumerate(margin_sequence(m, config.n_max)):
-        j = position + 2
+    terms = itertools.islice(_closed_form_terms(m), config.n_max)
+    older, old = next(terms), next(terms)
+    for j, term in enumerate(terms, start=2):
+        margin = old * old - older * term
         if margin < 0:
             return Counterexample("margins", m, j, f"margin={margin}"), notes
         if margin == 0:
             notes.append(f"zero margin at m={m} j={j}")
+        older, old = old, term
     return None, notes
 
 
 def _check_doslic(m, config, corrupt_at):
+    """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
     report = check_doslic_criterion(m, 3, config.n_max, config.delta_offset)
     if report.verdict:
         return None, []
@@ -223,6 +276,12 @@ def run_verify_sweep(
     """
     if config is None:
         config = VerifySweepConfig()
+    if corrupt_at is not None and not (
+        isinstance(corrupt_at, (tuple, list))
+        and len(corrupt_at) == 2
+        and all(_is_int(value) for value in corrupt_at)
+    ):
+        raise TypeError(f"corrupt_at must be None or a pair of ints (m, n), got {corrupt_at!r}")
     summaries = []
     for check in config.checks:
         function = _CHECK_FUNCTIONS[check]

@@ -216,10 +216,15 @@ class TestSecondOrderRoute:
     def test_detects_corrupted_coefficients(self, monkeypatch):
         # A recurrence that stops landing on integers must be reported,
         # not silently rounded.
-        def crooked(m, n):
-            return coefficient_r(m, n) + Fraction(1, 7)
+        # The route reads the integer coefficients (r, t, d) with R = r/d and
+        # T = t/d; this stream raises every R(n) by 1/7 = d/(7d).
+        true_coefficients = core._coefficients
 
-        monkeypatch.setattr(core, "coefficient_r", crooked)
+        def crooked(m, first=3):
+            for r, t, d in true_coefficients(m, first):
+                yield 7 * r + d, 7 * t, 7 * d
+
+        monkeypatch.setattr(core, "_coefficients", crooked)
         with pytest.raises(InvariantViolation):
             generate_second_order(3, 6)
 

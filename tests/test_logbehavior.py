@@ -22,6 +22,7 @@ from figurate.logbehavior import (
     margin_sequence,
     quotient_monotonicity,
 )
+from fraction_sweep import fraction_doslic_criterion
 
 
 def margins_by_hand(terms):
@@ -290,6 +291,34 @@ class TestDoslicCriterion:
         assert not report.r_nonneg.ok
         assert report.r_nonneg.first_failure == 3
         assert not report.verdict
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_matches_the_fraction_criterion(self, lag):
+        # The integer conditions, with and without the coefficient hooks,
+        # against the former Fraction implementation. The crooked hooks give
+        # R and T different denominators, and their R, T and delta conditions
+        # first fail inside the windows, at indices that depend on m and lag.
+        crooked = {
+            "r_of": lambda n: Fraction(30 - n, 7 * n),
+            "t_of": lambda n: Fraction(n - 25, 4),
+        }
+        for m in (3, 4, 7, 20):
+            for n_start, n_end in ((3, 3), (3, 80), (5, 40)):
+                expected = fraction_doslic_criterion(m, n_start, n_end, lag)
+                assert check_doslic_criterion(m, n_start, n_end, lag) == expected
+                hooked = check_doslic_criterion(
+                    m,
+                    n_start,
+                    n_end,
+                    lag,
+                    r_of=lambda n: coefficient_r(m, n),
+                    t_of=lambda n: coefficient_t(m, n),
+                )
+                assert hooked == expected
+                for hooks in ({"r_of": crooked["r_of"]}, {"t_of": crooked["t_of"]}, crooked):
+                    assert check_doslic_criterion(
+                        m, n_start, n_end, lag, **hooks
+                    ) == fraction_doslic_criterion(m, n_start, n_end, lag, **hooks)
 
     def test_rejects_start_below_three(self):
         with pytest.raises(ValueError):

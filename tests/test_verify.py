@@ -1,13 +1,32 @@
 """Tests for sweep configuration and the cross-checking sweep itself."""
 
-import pytest
+import itertools
+import math
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from figurate import logbehavior, verify
+from figurate.core import (
+    _coefficients,
+    _compare,
+    _direct_quotients,
+    _doslic_delta,
+    _recurrence_quotients,
+    closed_form,
+    coefficient_r,
+    coefficient_t,
+)
 from figurate.verify import (
     CHECK_NAMES,
     Counterexample,
     VerifySweepConfig,
+    _seed_quotients,
     run_verify_sweep,
 )
+from fraction_sweep import run_fraction_sweep
 
 
 class TestConfig:
@@ -42,6 +61,22 @@ class TestConfig:
     def test_rejects_tiny_index_cap(self):
         with pytest.raises(ValueError):
             VerifySweepConfig(n_max=2)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("m_from", 3.0),
+            ("m_to", 4.5),
+            ("n_max", 60.0),
+            ("delta_offset", 2.0),
+            ("m_from", True),
+            ("n_max", "60"),
+            ("checks", "margins"),
+        ],
+    )
+    def test_rejects_wrong_types_naming_the_field(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            VerifySweepConfig(**{name: value})
 
 
 class TestSweep:
@@ -91,3 +126,193 @@ class TestSweep:
             VerifySweepConfig(m_to=8, n_max=60, delta_offset=1)
         )
         assert report.passed
+
+    @pytest.mark.parametrize("corrupt_at", [(4,), (4, 7.0), (4, 7, 1), (True, 7), "4,7", 4])
+    def test_rejects_malformed_corruption(self, corrupt_at):
+        with pytest.raises(TypeError, match="corrupt_at"):
+            run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30), corrupt_at=corrupt_at)
+
+
+def fixed(values):
+    """A stand-in for a generator function m -> stream that yields `values`."""
+    return lambda m: iter(values)
+
+
+class TestCheckFunctions:
+    """Failure order, witnesses and notes on crafted streams that real terms never produce."""
+
+    def test_cross_formula_reports_the_first_route_in_route_order(self, monkeypatch):
+        # second-order disagrees first (n = 2), but alt-form comes first in route
+        # order; its first disagreement (n = 4, not 5) is the one reported
+        terms = [
+            (1, 1, 1, 1, 1),
+            (3, 3, 3, 4, 3),
+            (6, 6, 6, 6, 6),
+            (10, 9, 10, 10, 10),
+            (15, 14, 15, 15, 15),
+        ]
+        columns = zip(verify._ROUTES, zip(*terms))
+        routes = tuple((name, fixed(column)) for (name, _), column in columns)
+        monkeypatch.setattr(verify, "_ROUTES", routes)
+        assert verify._check_cross_formula(3, VerifySweepConfig(n_max=10), None) == (
+            Counterexample("cross-formula", 3, 4, "closed-form=10 alt-form=9"),
+            [],
+        )
+
+    @pytest.mark.parametrize(
+        "direct, expected",
+        [
+            ([(5, 1), (12, 5), (22, 12), (22, 22)], (4, "x(4)=1 is not > 1")),
+            ([(6, 1)], (1, "x(1)=6 exceeds m=5")),  # also off its seed; ties go by text
+            ([(5, 1), (12, 5), (23, 12)], (3, "x(3)=23/12 expected 11/6")),
+        ],
+    )
+    def test_bounds(self, monkeypatch, direct, expected):
+        monkeypatch.setattr(verify, "_direct_quotients", fixed(direct))
+        assert verify._check_bounds(5, VerifySweepConfig(n_max=10), None) == (
+            Counterexample("bounds", 5, *expected),
+            [],
+        )
+
+    def test_monotonicity_notes_equal_steps_and_stops_at_an_increase(self, monkeypatch):
+        direct = [(4, 1), (18, 8), (9, 4), (2, 1), (3, 1)]
+        recurred = [(4, 1), (9, 4), (9, 4), (2, 1), (3, 1)]
+        monkeypatch.setattr(verify, "_direct_quotients", fixed(direct))
+        monkeypatch.setattr(verify, "_recurrence_quotients", fixed(recurred))
+        config = VerifySweepConfig(n_max=10)
+        assert verify._check_monotonicity(4, config, None) == (
+            Counterexample("monotonicity", 4, 5, "x(4)=2 < x(5)=3"),
+            ["equality x(2) = x(3) = 9/4 at m=4"],
+        )
+        # a disagreement of the two routes anywhere, either way round, outranks the
+        # increase and drops the notes
+        mismatches = [
+            ((5, 4), (6, 5), "direct=5/4 recurrence=6/5"),
+            ((6, 5), (5, 4), "direct=6/5 recurrence=5/4"),
+        ]
+        for x, y, witness in mismatches:
+            monkeypatch.setattr(verify, "_direct_quotients", fixed(direct + [x]))
+            monkeypatch.setattr(verify, "_recurrence_quotients", fixed(recurred + [y]))
+            assert verify._check_monotonicity(4, config, None) == (
+                Counterexample("monotonicity", 4, 6, witness),
+                [],
+            )
+
+    def test_margins(self, monkeypatch):
+        monkeypatch.setattr(verify, "_closed_form_terms", fixed([1, 2, 4, 7, 20, 21]))
+        assert verify._check_margins(3, VerifySweepConfig(n_max=10), None) == (
+            Counterexample("margins", 3, 4, "margin=-31"),
+            ["zero margin at m=3 j=2"],
+        )
+
+    @pytest.mark.parametrize("lag, n", [(1, 3), (2, 4)])
+    def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch, lag, n):
+        direct = [(3, 1), (1, 2), (10, 6), (15, 10), (21, 15)]  # only x(2) < 1
+        monkeypatch.setattr(logbehavior, "_direct_quotients", fixed(direct))
+        config = VerifySweepConfig(n_max=5, delta_offset=lag)
+        assert verify._check_doslic(3, config, None) == (
+            Counterexample("doslic", 3, n, f"dR(n)x(n-{lag}) + dT(n) > 0"),
+            [],
+        )
+
+    @pytest.mark.parametrize(
+        "negative_r, positive_t, expected",
+        [((), (5,), (5, "T(n) > 0")), ((7,), (5,), (7, "R(n) < 0"))],
+    )
+    def test_doslic_reports_r_then_t(self, monkeypatch, negative_r, positive_t, expected):
+        true_coefficients = logbehavior._coefficients
+
+        def crooked(m, first=3):
+            for n, (r, t, d) in zip(itertools.count(first), true_coefficients(m, first)):
+                yield (-r if n in negative_r else r), (-t if n in positive_t else t), d
+
+        monkeypatch.setattr(logbehavior, "_coefficients", crooked)
+        config = VerifySweepConfig(m_from=3, m_to=4, n_max=10, checks=("doslic",))
+        summary = run_verify_sweep(config).summary_for("doslic")
+        assert summary.counterexample == Counterexample("doslic", 3, *expected)
+
+
+@st.composite
+def sweeps(draw):
+    """A sweep configuration and a corruption point inside, outside or absent."""
+    m_from = draw(st.integers(3, 40))
+    m_to = draw(st.integers(m_from, 40))
+    n_max = draw(st.integers(3, 300))
+    checks = tuple(draw(st.sets(st.sampled_from(CHECK_NAMES), min_size=1)))
+    delta_offset = draw(st.sampled_from((1, 2)))
+    inside = st.tuples(st.integers(m_from, m_to), st.integers(1, n_max))
+    anywhere = st.tuples(st.integers(0, 45), st.integers(-2, 310))
+    corrupt_at = draw(st.none() | inside | anywhere)
+    return VerifySweepConfig(m_from, m_to, n_max, checks, delta_offset), corrupt_at
+
+
+class TestFractionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(sweeps())
+    def test_reports_match_the_fraction_sweep(self, sweep):
+        config, corrupt_at = sweep
+        report = run_verify_sweep(config, corrupt_at=corrupt_at)
+        assert report == run_fraction_sweep(config, corrupt_at)
+
+
+def sign(value):
+    return (value > 0) - (value < 0)
+
+
+class TestIntegerConditions:
+    """Each cross-multiplied condition against its Fraction definition.
+
+    The scaled values must equal the Fraction expressions times the positive
+    factors they were multiplied by, so a dropped denominator or a flipped
+    sign shows even where every condition holds.
+    """
+
+    M_RANGE = range(3, 41)
+    N_MAX = 300
+
+    def test_quotient_comparisons(self):
+        for m in self.M_RANGE:
+            direct = list(itertools.islice(_direct_quotients(m), self.N_MAX + 1))
+            recurred = list(itertools.islice(_recurrence_quotients(m), self.N_MAX + 1))
+            assert all(math.gcd(*y) == 1 for y in recurred)
+            comparisons = []
+            for x, y in zip(direct, recurred):
+                comparisons += [(x, (1, 1)), (x, (m, 1)), (x, y)]  # bounds, route agreement
+            comparisons += zip(recurred[1:], recurred)  # quotient ordering
+            comparisons += zip(direct[:3], _seed_quotients(m))
+            for x, y in comparisons:
+                assert x[1] > 0 and y[1] > 0
+                difference = Fraction(*x) - Fraction(*y)
+                assert _compare(x, y) == difference * x[1] * y[1]
+                assert sign(_compare(x, y)) == sign(difference)
+
+    def test_seed_quotients(self):
+        for m in self.M_RANGE:
+            expected = (Fraction(m), 3 - Fraction(3, m), 2 - Fraction(2, 3 * (m - 1)))
+            assert tuple(Fraction(*pair) for pair in _seed_quotients(m)) == expected
+            assert all(q > 0 for _, q in _seed_quotients(m))
+
+    def test_coefficient_signs(self):
+        # R(n) S(n-1) + T(n) S(n-2) = S(n) with R(n) + T(n) = 1 pins both down.
+        for m in self.M_RANGE:
+            for n, (r, t, d) in zip(range(3, self.N_MAX + 2), _coefficients(m)):
+                older, old, term = (closed_form(m, k) for k in (n - 2, n - 1, n))
+                big_r = Fraction(term - older, old - older)
+                assert d > 0
+                assert (Fraction(r, d), Fraction(t, d)) == (big_r, 1 - big_r)
+                assert (r >= 0) == (big_r >= 0)
+                assert (t <= 0) == (1 - big_r <= 0)
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_doslic_delta(self, lag):
+        for m in self.M_RANGE:
+            direct = list(itertools.islice(_direct_quotients(m), self.N_MAX))
+            coefficients = itertools.pairwise(_coefficients(m))
+            for n, (here, ahead) in zip(range(3, self.N_MAX + 1), coefficients):
+                x = direct[n - lag - 1]
+                delta = (coefficient_r(m, n + 1) - coefficient_r(m, n)) * Fraction(*x) + (
+                    coefficient_t(m, n + 1) - coefficient_t(m, n)
+                )
+                scaled = _doslic_delta(here, ahead, x)
+                assert scaled == delta * here[2] * ahead[2] * x[1]
+                assert sign(scaled) == sign(delta)
