@@ -25,15 +25,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-_CLASSIFICATION_WORDS = {
-    LogBehavior.LOG_CONCAVE: "log-concave",
-    LogBehavior.LOG_CONVEX: "log-convex",
-    LogBehavior.GEOMETRIC: "geometric (both)",
-    LogBehavior.NEITHER: "neither",
-    LogBehavior.INDETERMINATE: "indeterminate",
-}
-
-
 @click.group()
 def cli():
     """Exact m-gonal figurate numbers and log-concavity verification."""
@@ -102,7 +93,10 @@ def analyze(source):
     behavior = classify_log_behavior(sequence)
     direction = quotient_monotonicity(sequence)
 
-    click.echo(f"classification: {_CLASSIFICATION_WORDS[behavior.classification]}")
+    word = behavior.classification.value
+    if behavior.classification is LogBehavior.GEOMETRIC:
+        word += " (both)"
+    click.echo(f"classification: {word}")
     if behavior.first_concavity_violation is not None:
         click.echo(f"first concavity violation: j={behavior.first_concavity_violation}")
     if behavior.first_convexity_violation is not None:

@@ -19,10 +19,11 @@ counterexample found on this window", never a claim about all n.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from figurate.core import (
     _check_index,
@@ -76,54 +77,84 @@ class Monotonicity(Enum):
 class PositiveSequence(Sequence):
     """Immutable sequence of strictly positive exact rationals.
 
-    Terms may be given as ints or Fractions; they are stored as Fractions.
-    Floats are rejected outright (they are not exact), and any term <= 0 is
-    rejected with an error naming its 1-based position.
+    Terms may be given as ints or Fractions. Each is stored as a positive
+    integer numerator and denominator, not necessarily in lowest terms, so
+    the classifiers below work on integers only. `terms`, indexing,
+    iteration, equality, hashing and repr use Fractions, built from those
+    integers on first use. Floats are rejected outright (they are not
+    exact), and any term <= 0 is rejected with an error naming its 1-based
+    position and its value in lowest terms.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_numerators", "_denominators", "_terms")
 
     def __init__(self, terms: Iterable[int | Fraction]):
-        checked = []
-        for position, term in enumerate(terms, start=1):
-            if isinstance(term, float):
-                raise TypeError(
-                    f"term {position} is a float; only exact ints or Fractions are accepted"
+        self._store(_exact_pair(position, term) for position, term in enumerate(terms, start=1))
+
+    @classmethod
+    def _from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> PositiveSequence:
+        """A sequence from (numerator, denominator) int pairs with denominators > 0."""
+        sequence = cls.__new__(cls)
+        sequence._store(pairs)
+        return sequence
+
+    def _store(self, pairs: Iterable[tuple[int, int]]) -> None:
+        numerators: list[int] = []
+        denominators: list[int] = []
+        for position, (numerator, denominator) in enumerate(pairs, start=1):
+            if numerator <= 0:
+                raise ValueError(
+                    f"term {position} is not positive: {Fraction(numerator, denominator)}"
                 )
-            if not isinstance(term, (int, Fraction)):
-                raise TypeError(
-                    f"term {position} has unsupported type {type(term).__name__};"
-                    " only exact ints or Fractions are accepted"
-                )
-            value = Fraction(term)
-            if value <= 0:
-                raise ValueError(f"term {position} is not positive: {value}")
-            checked.append(value)
-        if not checked:
+            numerators.append(numerator)
+            denominators.append(denominator)
+        if not numerators:
             raise ValueError("a positive sequence needs at least one term")
-        self._terms = tuple(checked)
+        self._numerators = tuple(numerators)
+        self._denominators = tuple(denominators)
+        self._terms = None
 
     @property
     def terms(self) -> tuple[Fraction, ...]:
+        if self._terms is None:
+            self._terms = tuple(map(Fraction, self._numerators, self._denominators))
         return self._terms
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._numerators)
 
     def __getitem__(self, index):
-        return self._terms[index]
+        return self.terms[index]
+
+    def __iter__(self):
+        return iter(self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PositiveSequence):
-            return self._terms == other._terms
+            return self.terms == other.terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(self.terms)
 
     def __repr__(self) -> str:
-        rendered = ", ".join(str(t) for t in self._terms)
+        rendered = ", ".join(str(t) for t in self.terms)
         return f"PositiveSequence([{rendered}])"
+
+
+def _exact_pair(position: int, term: int | Fraction) -> tuple[int, int]:
+    if isinstance(term, int):
+        return term, 1
+    if isinstance(term, Fraction):
+        return term.numerator, term.denominator
+    if isinstance(term, float):
+        raise TypeError(
+            f"term {position} is a float; only exact ints or Fractions are accepted"
+        )
+    raise TypeError(
+        f"term {position} has unsupported type {type(term).__name__};"
+        " only exact ints or Fractions are accepted"
+    )
 
 
 def _as_sequence(seq: PositiveSequence | Iterable[int | Fraction]) -> PositiveSequence:
@@ -227,10 +258,14 @@ def classify_log_behavior(
     """Classify a positive sequence by the signs of its exact margins.
 
     A sequence shorter than 3 terms is INDETERMINATE (there is no interior
-    index to test), not an error.
+    index to test), not an error. With terms p0/d0, a/b and p2/d2 at j - 1,
+    j and j + 1, the margin has the sign of the integer a^2 d0 d2 - p0 p2 b^2.
+    Unless the margins are requested, the scan stops once both first
+    violations are known.
     """
-    terms = _as_sequence(seq).terms
-    length = len(terms)
+    seq = _as_sequence(seq)
+    nums, dens = seq._numerators, seq._denominators
+    length = len(nums)
     if length < 3:
         return LogBehaviorReport(
             LogBehavior.INDETERMINATE,
@@ -240,13 +275,19 @@ def classify_log_behavior(
     margins: list[Fraction] = []
     first_negative: int | None = None
     first_positive: int | None = None
-    for j in range(2, length):
-        margin = terms[j - 1] * terms[j - 1] - terms[j - 2] * terms[j]
-        margins.append(margin)
-        if margin < 0 and first_negative is None:
+    triples = zip(range(2, length), nums, dens, nums[1:], dens[1:], nums[2:], dens[2:])
+    for j, p0, d0, a, b, p2, d2 in triples:
+        scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
+        if include_margins:
+            margins.append(Fraction(scaled, b * b * d0 * d2))
+        if scaled < 0 and first_negative is None:
             first_negative = j
-        if margin > 0 and first_positive is None:
+        elif scaled > 0 and first_positive is None:
             first_positive = j
+        else:
+            continue
+        if first_negative and first_positive and not include_margins:
+            break
 
     if first_negative is None and first_positive is None:
         classification = LogBehavior.GEOMETRIC
@@ -261,7 +302,7 @@ def classify_log_behavior(
         classification,
         first_concavity_violation=first_negative,
         first_convexity_violation=first_positive,
-        margins=tuple(margins) if include_margins else (),
+        margins=tuple(margins),
     )
 
 
@@ -272,20 +313,28 @@ def quotient_monotonicity(
 
     For positive sequences this agrees with :func:`classify_log_behavior`:
     non-increasing quotients match log-concave, non-decreasing match
-    log-convex, constant matches geometric.
+    log-convex, constant matches geometric. Each quotient is a gcd-reduced
+    integer pair, neighbours are compared by cross-multiplying, and the
+    scan stops once both directions have been seen.
     """
-    terms = _as_sequence(seq).terms
-    quotients = [terms[i + 1] / terms[i] for i in range(len(terms) - 1)]
-    if len(quotients) < 2:
+    seq = _as_sequence(seq)
+    nums, dens = seq._numerators, seq._denominators
+    if len(nums) < 3:
         return MonotonicityReport(Monotonicity.INDETERMINATE)
 
     first_increase: int | None = None
     first_decrease: int | None = None
-    for step in range(1, len(quotients)):
-        if quotients[step] > quotients[step - 1] and first_increase is None:
+    quotients = _reduced_quotients(nums, dens)
+    for step, (before, after) in enumerate(itertools.pairwise(quotients), start=1):
+        order = _compare(after, before)
+        if order > 0 and first_increase is None:
             first_increase = step
-        if quotients[step] < quotients[step - 1] and first_decrease is None:
+        elif order < 0 and first_decrease is None:
             first_decrease = step
+        else:
+            continue
+        if first_increase and first_decrease:
+            break
 
     if first_increase is None and first_decrease is None:
         return MonotonicityReport(Monotonicity.CONSTANT)
@@ -297,6 +346,18 @@ def quotient_monotonicity(
         Monotonicity.NEITHER,
         first_violation=max(first_increase, first_decrease),
     )
+
+
+def _reduced_quotients(nums: Sequence[int], dens: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """s(n+1)/s(n) = (p1/d1)/(p0/d0) = (p1 d0)/(d1 p0) as a pair with a positive denominator.
+
+    The gcds of the two numerators and of the two denominators are divided
+    out before multiplying, as Fraction division does: the pair is in lowest
+    terms when both terms are, and the gcds stay on the smaller numbers.
+    """
+    for p0, d0, p1, d1 in zip(nums, dens, nums[1:], dens[1:]):
+        g, h = gcd(p1, p0), gcd(d0, d1)
+        yield (p1 // g) * (d0 // h), (d1 // h) * (p0 // g)
 
 
 def check_quotient_bounds(

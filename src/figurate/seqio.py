@@ -12,6 +12,7 @@ Formats are deliberately rigid so that emitted files are bit-exact:
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,16 +160,27 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
 def parse_sequence_file(text: str | bytes) -> PositiveSequence:
     """Parse whitespace-separated integers or "p/q" rationals.
 
-    An unparseable token raises :class:`SequenceParseError` with its 1-based
-    position; a non-positive term is rejected by
-    :class:`~figurate.logbehavior.PositiveSequence` with its position named.
+    Each token becomes an integer pair (p, q), not reduced. An unparseable
+    token, a zero denominator, or a number longer than Python's int/str
+    digit limit (4300 digits by default) raises :class:`SequenceParseError`
+    with its 1-based position. Only then is a non-positive term rejected by
+    :class:`~figurate.logbehavior.PositiveSequence`, with its position named.
     """
-    terms: list[Fraction] = []
+    pairs: list[tuple[int, int]] = []
     for position, token in enumerate(_as_text(text).split(), start=1):
         if not _TOKEN_RE.match(token):
             raise SequenceParseError(position, f"cannot parse {token!r}")
+        numerator, slash, denominator = token.partition("/")
         try:
-            terms.append(Fraction(token))
-        except ZeroDivisionError:
-            raise SequenceParseError(position, f"zero denominator in {token!r}") from None
-    return PositiveSequence(terms)
+            pair = int(numerator), int(denominator) if slash else 1
+        except ValueError:
+            # The regex admits only digits, so int() fails only on the digit limit.
+            raise SequenceParseError(
+                position,
+                f"over {sys.get_int_max_str_digits()} digits,"
+                " Python's limit for converting text to int",
+            ) from None
+        if not pair[1]:
+            raise SequenceParseError(position, f"zero denominator in {token!r}")
+        pairs.append(pair)
+    return PositiveSequence._from_pairs(pairs)

@@ -1,0 +1,175 @@
+"""The integer analyze path against the Fraction oracle in fraction_analyze.py.
+
+Both sides get the same input and must return identical reports, or raise
+the same exception type with the same message.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_analyze as oracle
+from figurate.logbehavior import (
+    PositiveSequence,
+    classify_log_behavior,
+    quotient_monotonicity,
+)
+from figurate.seqio import parse_sequence_file
+
+small = st.integers(min_value=1, max_value=10**6)
+huge = st.integers(min_value=10**1000, max_value=10**1100)
+numerators = st.one_of(small, small, huge)
+positive_rationals = st.builds(Fraction, numerators, numerators)
+positive_terms = st.one_of(small, huge, positive_rationals)
+small_rationals = st.builds(Fraction, small, small)
+# Non-positive and inexact terms, mixed in rarely so most draws are valid.
+bad_terms = st.one_of(
+    st.integers(min_value=-3, max_value=0),
+    st.builds(Fraction, st.integers(min_value=-10**6, max_value=0), small),
+    st.just(1.5),
+    st.just("3"),
+)
+
+
+@st.composite
+def shaped_terms(draw):
+    """Term lists built from a monotone or constant quotient list, so that
+    every classification is drawn, not only "neither"."""
+    start = draw(positive_terms)
+    # Small ratios keep every term well below the 4300-digit int/str limit.
+    ratios = draw(st.lists(small_rationals, min_size=0, max_size=25))
+    shape = draw(st.sampled_from(["down", "up", "flat", "raw"]))
+    if shape == "down":
+        ratios.sort(reverse=True)
+    elif shape == "up":
+        ratios.sort()
+    elif shape == "flat" and ratios:
+        ratios = [ratios[0]] * len(ratios)
+    terms = [start]
+    for ratio in ratios:
+        terms.append(terms[-1] * ratio)
+    if draw(st.booleans()):
+        # Integer-valued terms stay ints, as a file of integers parses.
+        terms = [int(t) if Fraction(t).denominator == 1 else t for t in terms]
+    return terms
+
+
+term_lists = st.one_of(
+    shaped_terms(),
+    st.lists(positive_terms, min_size=0, max_size=25),
+    st.lists(st.one_of(positive_terms, positive_terms, positive_terms, bad_terms), max_size=12),
+)
+
+
+def outcome(function, *args, **kwargs):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return function(*args, **kwargs), None
+    except (TypeError, ValueError) as error:
+        return None, (type(error), str(error))
+
+
+def same_sequence(new, old):
+    assert repr(new) == repr(old)
+    assert new.terms == old.terms
+    assert list(new) == list(old)
+    assert len(new) == len(old)
+    assert hash(new) == hash(old)
+
+
+def same_analysis(new, old):
+    for include_margins in (False, True):
+        assert classify_log_behavior(new, include_margins=include_margins) == (
+            oracle.classify_log_behavior(old, include_margins=include_margins)
+        )
+    assert quotient_monotonicity(new) == oracle.quotient_monotonicity(old)
+
+
+class TestSequences:
+    @settings(max_examples=300, deadline=None)
+    @given(terms=term_lists)
+    def test_reports_and_errors_match_the_oracle(self, terms):
+        new, new_error = outcome(PositiveSequence, terms)
+        old, old_error = outcome(oracle.FractionSequence, terms)
+        assert new_error == old_error
+        if new is not None:
+            same_sequence(new, old)
+            same_analysis(new, old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=term_lists)
+    def test_classifiers_accept_plain_iterables(self, terms):
+        for include_margins in (False, True):
+            new = outcome(classify_log_behavior, terms, include_margins=include_margins)
+            old = outcome(oracle.classify_log_behavior, terms, include_margins=include_margins)
+            assert new == old
+        assert outcome(quotient_monotonicity, terms) == outcome(
+            oracle.quotient_monotonicity, terms
+        )
+
+
+def render(term, scale, plus):
+    """A token for a term: p/q scaled by `scale` (so not reduced), maybe signed '+'."""
+    value = Fraction(term)
+    if value.denominator == 1 and scale == 1:
+        text = str(value.numerator)
+    else:
+        text = f"{value.numerator * scale}/{value.denominator * scale}"
+    return ("+" if plus and value >= 0 else "") + text
+
+
+@st.composite
+def sequence_texts(draw):
+    non_positive = st.one_of(
+        st.integers(min_value=-3, max_value=0),
+        st.builds(Fraction, st.integers(min_value=-9, max_value=-1), small),
+    )
+    terms = draw(
+        st.one_of(
+            shaped_terms(),
+            st.lists(positive_terms, max_size=12),
+            st.lists(st.one_of(positive_terms, positive_terms, non_positive), max_size=12),
+        )
+    )
+    tokens = [
+        render(term, draw(st.sampled_from([1, 1, 2, 7])), draw(st.booleans()))
+        for term in terms
+    ]
+    extras = st.sampled_from(["-0/5", "+0", "-0", "3/0", "0/0", "1.5", "x", "2/-3", "4//2"])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))), draw(extras))
+    separators = st.sampled_from([" ", "\n", "\t", "  \n "])
+    return "".join(token + draw(separators) for token in tokens)
+
+
+class TestParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(text=sequence_texts())
+    def test_parse_matches_the_oracle(self, text):
+        new, new_error = outcome(parse_sequence_file, text)
+        old, old_error = outcome(oracle.parse_sequence_file, text)
+        assert new_error == old_error
+        if new is not None:
+            same_sequence(new, old)
+            same_analysis(new, old)
+
+    def test_fixed_cases_match_the_oracle(self):
+        texts = [
+            "4/6 +3 1/1",
+            "-0/5",
+            "1 -4/6 abc",
+            "-1 abc",
+            "2/4 4/8 8/16 16/32",
+            "1 3/0",
+            "0/0",
+            f"{10**1500} {10**1500 + 1}/2 3",
+            "",
+        ]
+        for text in texts:
+            new, new_error = outcome(parse_sequence_file, text)
+            old, old_error = outcome(oracle.parse_sequence_file, text)
+            assert new_error == old_error, text
+            if new is not None:
+                same_sequence(new, old)
+                same_analysis(new, old)

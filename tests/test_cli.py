@@ -137,6 +137,12 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "cannot parse" in result.stderr
 
+    def test_oversized_token_exits_two_with_position(self, runner):
+        result = runner.invoke(cli, ["analyze"], input="1 2 " + "9" * 5000 + "\n")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: token 3: over 4300 digits")
+        assert result.stdout == ""
+
     def test_empty_input_exits_two(self, runner):
         result = runner.invoke(cli, ["analyze"], input="")
         assert result.exit_code == 2

@@ -1,0 +1,71 @@
+"""Every `$ figurate ...` example in README.md, run and compared byte for byte.
+
+An example is a line starting with "$ " inside a ```sh block; its expected
+output is the lines after it, up to a blank line, the next example or the
+end of the block. `echo "..." | figurate ...` feeds the echoed text to
+stdin. stderr is merged into stdout, as a terminal shows them.
+"""
+
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_examples():
+    examples = []
+    in_sh = False
+    current = None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+            current = None
+        elif in_sh and line.startswith("$ "):
+            current = (line[2:], [])
+            examples.append(current)
+        elif in_sh and current is not None and line:
+            current[1].append(line)
+        else:
+            current = None
+    return [(command, "".join(out + "\n" for out in output)) for command, output in examples]
+
+
+EXAMPLES = readme_examples()
+
+
+def run(command: str) -> str:
+    stdin = None
+    if "|" in command:
+        echo, command = command.split("|")
+        words = shlex.split(echo)
+        assert words[0] == "echo", echo
+        stdin = " ".join(words[1:]) + "\n"
+    words = shlex.split(command)
+    assert words[0] == "figurate", command
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "figurate", *words[1:]],
+        input=stdin,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    return proc.stdout
+
+
+def test_examples_are_found():
+    commands = [command for command, _ in EXAMPLES]
+    assert len(commands) >= 10
+    assert any(command.startswith("echo ") for command in commands)
+
+
+@pytest.mark.parametrize(("command", "expected"), EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_example_output(command, expected):
+    assert run(command) == expected

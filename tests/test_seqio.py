@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from figurate.logbehavior import PositiveSequence
 from figurate.seqio import (
     A000217_FIRST10,
     REFERENCE_TABLES,
@@ -170,6 +171,37 @@ class TestParseSequenceFile:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             parse_sequence_file("")
+
+    def test_oversized_token_names_position_and_limit(self):
+        with pytest.raises(SequenceParseError) as excinfo:
+            parse_sequence_file("1 2 " + "9" * 5000 + " 4")
+        assert excinfo.value.position == 3
+        assert "4300 digits" in str(excinfo.value)
+
+    def test_oversized_denominator_names_position(self):
+        with pytest.raises(SequenceParseError) as excinfo:
+            parse_sequence_file("1/" + "7" * 5000)
+        assert excinfo.value.position == 1
+
+    def test_parse_error_outranks_earlier_non_positive_term(self):
+        with pytest.raises(SequenceParseError, match="token 2: cannot parse 'abc'"):
+            parse_sequence_file("-1 abc")
+
+    def test_non_positive_message_prints_reduced_value(self):
+        with pytest.raises(ValueError, match="^term 1 is not positive: -2/3$"):
+            parse_sequence_file("-4/6")
+        with pytest.raises(ValueError, match="^term 2 is not positive: 0$"):
+            parse_sequence_file("1 -0/5")
+
+    def test_signed_token(self):
+        assert list(parse_sequence_file("+3 +4/6")) == [3, Fraction(2, 3)]
+
+    def test_unreduced_token_equals_reduced_sequence(self):
+        parsed = parse_sequence_file("2/4")
+        expected = PositiveSequence([Fraction(1, 2)])
+        assert parsed == expected
+        assert hash(parsed) == hash(expected)
+        assert repr(parsed) == "PositiveSequence([1/2])"
 
 
 class TestReferenceTable:
