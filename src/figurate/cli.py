@@ -128,8 +128,7 @@ def analyze(source):
     show_default=True,
     help="Summary format.",
 )
-@click.option("--inject-corruption", default=None, hidden=True, metavar="M,N")
-def verify(m_from, m_to, n_max, checks, delta_offset, fmt, inject_corruption):
+def verify(m_from, m_to, n_max, checks, delta_offset, fmt):
     """Run the exact verification sweep and report a per-check summary.
 
     Exits 0 when every selected check passes, 1 with the first
@@ -138,13 +137,6 @@ def verify(m_from, m_to, n_max, checks, delta_offset, fmt, inject_corruption):
     selected = CHECK_NAMES if checks is None else tuple(
         name.strip() for name in checks.split(",") if name.strip()
     )
-    corrupt_at = None
-    if inject_corruption is not None:
-        try:
-            m_text, n_text = inject_corruption.split(",")
-            corrupt_at = (int(m_text), int(n_text))
-        except ValueError:
-            raise click.UsageError("--inject-corruption expects 'M,N'") from None
     try:
         config = VerifySweepConfig(
             m_from=m_from,
@@ -156,7 +148,7 @@ def verify(m_from, m_to, n_max, checks, delta_offset, fmt, inject_corruption):
     except ValueError as error:
         raise click.UsageError(str(error)) from None
 
-    report = run_verify_sweep(config, corrupt_at=corrupt_at)
+    report = run_verify_sweep(config)
     _print_sweep_report(report, fmt)
     if not report.passed:
         sys.exit(EXIT_VIOLATION)

@@ -54,15 +54,20 @@ class InvariantViolation(RuntimeError):
     """An internal exactness invariant failed; this always indicates a bug."""
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_polygon_order(m: int) -> None:
-    if not isinstance(m, int):
+    if not _is_int(m):
         raise TypeError(f"polygon order must be an int, got {type(m).__name__}")
     if m < MIN_POLYGON_ORDER:
         raise ValueError(f"polygon order must be >= {MIN_POLYGON_ORDER}, got {m}")
 
 
 def _check_index(n: int, minimum: int = 1, what: str = "term index") -> None:
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise TypeError(f"{what} must be an int, got {type(n).__name__}")
     if n < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {n}")
@@ -71,6 +76,9 @@ def _check_index(n: int, minimum: int = 1, what: str = "term index") -> None:
 # Unchecked kernels. Each route is an infinite generator of exact ints that
 # trusts its polygon order; the public functions below validate their
 # arguments once and then slice a generator. No route reads another route.
+# Callers in other modules look a generator up on this module when they call
+# it (`core._direct_quotients(m)`, never an imported name), so a test that
+# replaces one attribute here reaches every reader of that stream.
 
 
 def _closed_form_terms(m: int, first: int = 1) -> Iterator[int]:

@@ -25,17 +25,8 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from figurate.core import (
-    _check_index,
-    _check_polygon_order,
-    _closed_form_terms,
-    _coefficients,
-    _compare,
-    _direct_quotients,
-    _doslic_delta,
-    coefficient_r,
-    coefficient_t,
-)
+from figurate import core
+from figurate.core import _check_index, _check_polygon_order, _compare, _doslic_delta, _is_int
 
 __all__ = [
     "LogBehavior",
@@ -210,14 +201,6 @@ class BoundsReport:
     window: tuple[int, int]
 
     @property
-    def lower_ok(self) -> bool:
-        return self.lower.ok
-
-    @property
-    def upper_ok(self) -> bool:
-        return self.upper.ok
-
-    @property
     def in_bounds(self) -> bool:
         return self.lower.ok and self.upper.ok
 
@@ -363,22 +346,28 @@ def _reduced_quotients(nums: Sequence[int], dens: Sequence[int]) -> Iterator[tup
 def check_quotient_bounds(
     m: int, quotients: Sequence[Fraction | int]
 ) -> BoundsReport:
-    """Verify 1 < x(n) <= m for every supplied quotient (1-based positions)."""
+    """Verify 1 < x(n) <= m for every supplied quotient (1-based positions).
+
+    Each quotient must be an int or a Fraction; anything else, floats
+    included, raises TypeError naming its position. With x = p/q and q > 0,
+    the bounds are decided on integers: x <= 1 when p <= q, x > m when
+    p > m q.
+    """
     _check_polygon_order(m)
-    quotients = list(quotients)
-    if not quotients:
+    pairs = [_exact_pair(position, x) for position, x in enumerate(quotients, start=1)]
+    if not pairs:
         raise ValueError("bounds check needs at least one quotient")
     first_low: int | None = None
     first_high: int | None = None
-    for position, x in enumerate(quotients, start=1):
-        if x <= 1 and first_low is None:
+    for position, (p, q) in enumerate(pairs, start=1):
+        if p <= q and first_low is None:
             first_low = position
-        if x > m and first_high is None:
+        if p > m * q and first_high is None:
             first_high = position
     return BoundsReport(
         lower=ConditionFlag(first_low is None, first_low),
         upper=ConditionFlag(first_high is None, first_high),
-        window=(1, len(quotients)),
+        window=(1, len(pairs)),
     )
 
 
@@ -387,9 +376,6 @@ def check_doslic_criterion(
     n_start: int,
     n_end: int,
     delta_offset: int = 2,
-    *,
-    r_of=None,
-    t_of=None,
 ) -> CriterionReport:
     """Check the Doslic log-concavity conditions on the window [n_start, n_end].
 
@@ -404,32 +390,27 @@ def check_doslic_criterion(
     literature; delta_offset in {1, 2} selects whether dR(n) multiplies the
     immediately preceding quotient or the one before it.
 
-    The keyword-only r_of / t_of callables (n -> Fraction) replace the real
-    coefficient functions; they exist for fault injection in tests. Every
-    condition is decided on integers: R(n) and T(n) become the triple
+    Every condition is decided on integers: R(n) and T(n) come as the triple
     (r, t, d) with R(n) = r/d, T(n) = t/d and d > 0.
     """
     _check_polygon_order(m)
     _check_index(n_start, minimum=3, what="window start")
+    if not _is_int(n_end):
+        raise TypeError(f"window end must be an int, got {type(n_end).__name__}")
     if n_end < n_start:
         raise ValueError(f"window end must be >= window start, got [{n_start}, {n_end}]")
+    if not _is_int(delta_offset):
+        raise TypeError(f"delta_offset must be an int, got {type(delta_offset).__name__}")
     if delta_offset not in (1, 2):
         raise ValueError(f"delta_offset must be 1 or 2, got {delta_offset}")
-    if r_of is None and t_of is None:
-        coefficients = _coefficients(m, n_start)
-    else:
-        coefficients = _hooked_coefficients(
-            r_of or (lambda n: coefficient_r(m, n)),
-            t_of or (lambda n: coefficient_t(m, n)),
-            n_start,
-        )
+    coefficients = core._coefficients(m, n_start)
 
     first_r: int | None = None
     first_t: int | None = None
     first_delta: int | None = None
     window = range(n_start, n_end + 1)
     # x(n - delta_offset) for each n in the window
-    lagged = itertools.islice(_direct_quotients(m), n_start - delta_offset - 1, None)
+    lagged = itertools.islice(core._direct_quotients(m), n_start - delta_offset - 1, None)
     for n, x, (here, ahead) in zip(window, lagged, itertools.pairwise(coefficients)):
         if here[0] < 0 and first_r is None:
             first_r = n
@@ -438,7 +419,7 @@ def check_doslic_criterion(
         if _doslic_delta(here, ahead, x) > 0 and first_delta is None:
             first_delta = n
 
-    seed, following = itertools.islice(_direct_quotients(m), n_start - 1, n_start + 1)
+    seed, following = itertools.islice(core._direct_quotients(m), n_start - 1, n_start + 1)
     seed_ok = _compare(seed, following) >= 0
 
     return CriterionReport(
@@ -451,17 +432,6 @@ def check_doslic_criterion(
     )
 
 
-def _hooked_coefficients(r_of, t_of, first: int):
-    """(r, t, d) for n = first, ... from callables n -> R(n), T(n), over a common d > 0."""
-    for n in itertools.count(first):
-        big_r, big_t = Fraction(r_of(n)), Fraction(t_of(n))
-        yield (
-            big_r.numerator * big_t.denominator,
-            big_t.numerator * big_r.denominator,
-            big_r.denominator * big_t.denominator,
-        )
-
-
 def margin_sequence(m: int, count: int) -> list[int]:
     """Margins S(j)^2 - S(j-1) * S(j+1) of the first `count` m-gonal numbers.
 
@@ -470,7 +440,7 @@ def margin_sequence(m: int, count: int) -> list[int]:
     """
     _check_polygon_order(m)
     _check_index(count, minimum=3, what="count")
-    terms = list(itertools.islice(_closed_form_terms(m), count))
+    terms = list(itertools.islice(core._closed_form_terms(m), count))
     return [
         terms[j - 1] * terms[j - 1] - terms[j - 2] * terms[j] for j in range(2, count)
     ]

@@ -17,6 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from figurate.core import _is_int
 from figurate.logbehavior import PositiveSequence
 
 __all__ = [
@@ -124,10 +125,19 @@ def parse_bfile(text: str | bytes) -> list[BFileRecord]:
 def emit_bfile(offset: int, values: Sequence[int]) -> str:
     """Render values as b-file text, indices starting at `offset`.
 
-    Round-trips through :func:`parse_bfile`.
+    Round-trips through :func:`parse_bfile`, so the offset and every value
+    must be an int (not a bool); anything else raises TypeError, naming the
+    1-based position of a bad value.
     """
+    if not _is_int(offset):
+        raise TypeError(f"b-file offset must be an int, got {type(offset).__name__}")
     if not values:
         raise ValueError("cannot emit an empty b-file")
+    for position, value in enumerate(values, start=1):
+        if not _is_int(value):
+            raise TypeError(
+                f"b-file value {position} is a {type(value).__name__}; only ints are accepted"
+            )
     return "".join(
         f"{offset + position} {value}\n" for position, value in enumerate(values)
     )
@@ -136,8 +146,9 @@ def emit_bfile(offset: int, values: Sequence[int]) -> str:
 def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
     """Render named columns as CSV with exact values.
 
-    Integers render in decimal, rationals as "p/q" in lowest terms. All
-    columns must be the same length; an empty mapping is an error.
+    Integers render in decimal, rationals as "p/q" in lowest terms; any other
+    value, a bool or a float included, raises TypeError. All columns must be
+    the same length; an empty mapping is an error.
     """
     if not columns:
         raise ValueError("cannot emit CSV with no columns")
@@ -146,7 +157,7 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
     for name, values in columns.items():
         for value in values:
-            if isinstance(value, float) or not isinstance(value, (int, Fraction)):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise TypeError(
                     f"column {name!r} holds {type(value).__name__}; "
                     "only exact ints or Fractions are accepted"

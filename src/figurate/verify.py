@@ -18,6 +18,9 @@ zipping the integer route generators it needs from `figurate.core`, in O(1)
 memory per route. Rationals are integer pairs (numerator, positive
 denominator) compared by cross-multiplication; a `Fraction` is built only to
 render a witness or a note.
+
+The generators are looked up on `figurate.core` at each call, never imported
+by name, so replacing one there puts a fault into every check that reads it.
 """
 
 from __future__ import annotations
@@ -26,16 +29,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from figurate.core import (
-    _alt_form_terms,
-    _closed_form_terms,
-    _compare,
-    _direct_quotients,
-    _first_order_terms,
-    _progression_terms,
-    _recurrence_quotients,
-    _second_order_terms,
-)
+from figurate import core
+from figurate.core import _compare, _is_int
 from figurate.logbehavior import check_doslic_criterion
 
 __all__ = [
@@ -48,10 +43,6 @@ __all__ = [
 ]
 
 CHECK_NAMES = ("cross-formula", "bounds", "monotonicity", "margins", "doslic")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -133,27 +124,19 @@ class SweepReport:
         raise KeyError(f"no summary for check {check!r}")
 
 
+# (label, name of the route generator in figurate.core)
 _ROUTES = (
-    ("closed-form", _closed_form_terms),
-    ("alt-form", _alt_form_terms),
-    ("first-order", _first_order_terms),
-    ("second-order", _second_order_terms),
-    ("progression-sum", _progression_terms),
+    ("closed-form", "_closed_form_terms"),
+    ("alt-form", "_alt_form_terms"),
+    ("first-order", "_first_order_terms"),
+    ("second-order", "_second_order_terms"),
+    ("progression-sum", "_progression_terms"),
 )
-_CORRUPTED_ROUTE = 2  # corrupt_at perturbs the first-order route
 
 
-def _corrupted(terms, n):
-    """The stream `terms` with its n-th value (1-based) raised by one."""
-    for index, value in enumerate(terms, start=1):
-        yield value + 1 if index == n else value
-
-
-def _check_cross_formula(m, config, corrupt_at):
+def _check_cross_formula(m, config):
     """Reports the first route, in route order, that disagrees with the closed form."""
-    routes = [route(m) for _, route in _ROUTES]
-    if corrupt_at is not None and corrupt_at[0] == m:
-        routes[_CORRUPTED_ROUTE] = _corrupted(routes[_CORRUPTED_ROUTE], corrupt_at[1])
+    routes = [getattr(core, name)(m) for _, name in _ROUTES]
     first = {}  # route position -> (n, witness) of its first disagreement
     for n, terms in zip(range(1, config.n_max + 1), zip(*routes)):
         anchor = terms[0]
@@ -174,10 +157,10 @@ def _seed_quotients(m):
     return (m, 1), (3 * m - 3, m), (6 * m - 8, 3 * m - 3)
 
 
-def _check_bounds(m, config, corrupt_at):
+def _check_bounds(m, config):
     """1 < x(n) <= m and the seeds x(1..3); the smallest failing n, ties by witness text."""
     seeds = _seed_quotients(m)
-    for n, x in zip(range(1, config.n_max + 1), _direct_quotients(m)):
+    for n, x in zip(range(1, config.n_max + 1), core._direct_quotients(m)):
         p, q = x
         low = p <= q
         high = p > m * q
@@ -196,7 +179,7 @@ def _check_bounds(m, config, corrupt_at):
     return None, []
 
 
-def _check_monotonicity(m, config, corrupt_at):
+def _check_monotonicity(m, config):
     """The two quotient routes agree on the whole window, then the quotients never increase.
 
     A disagreement anywhere outranks an earlier increase. The order is read
@@ -206,7 +189,9 @@ def _check_monotonicity(m, config, corrupt_at):
     increase = None
     notes = []
     previous = None
-    rows = zip(range(1, config.n_max + 1), _direct_quotients(m), _recurrence_quotients(m))
+    rows = zip(
+        range(1, config.n_max + 1), core._direct_quotients(m), core._recurrence_quotients(m)
+    )
     for n, direct, recurred in rows:
         if _compare(direct, recurred) != 0:
             witness = f"direct={Fraction(*direct)} recurrence={Fraction(*recurred)}"
@@ -222,10 +207,10 @@ def _check_monotonicity(m, config, corrupt_at):
     return increase, notes
 
 
-def _check_margins(m, config, corrupt_at):
+def _check_margins(m, config):
     """S(j)^2 - S(j-1) S(j+1) >= 0 for j = 2..n_max-1; zero margins are noted."""
     notes = []
-    terms = itertools.islice(_closed_form_terms(m), config.n_max)
+    terms = itertools.islice(core._closed_form_terms(m), config.n_max)
     older, old = next(terms), next(terms)
     for j, term in enumerate(terms, start=2):
         margin = old * old - older * term
@@ -237,7 +222,7 @@ def _check_margins(m, config, corrupt_at):
     return None, notes
 
 
-def _check_doslic(m, config, corrupt_at):
+def _check_doslic(m, config):
     """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
     report = check_doslic_criterion(m, 3, config.n_max, config.delta_offset)
     if report.verdict:
@@ -263,32 +248,20 @@ _CHECK_FUNCTIONS = {
 }
 
 
-def run_verify_sweep(
-    config: VerifySweepConfig | None = None,
-    *,
-    corrupt_at: tuple[int, int] | None = None,
-) -> SweepReport:
+def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
     """Run the configured checks over every m in the range.
 
-    Each check stops at its first counterexample. `corrupt_at` = (m, n)
-    perturbs the first-order route at that term; it exists purely as a fault
-    injection seam for exercising the failure path.
+    Each check stops at its first counterexample.
     """
     if config is None:
         config = VerifySweepConfig()
-    if corrupt_at is not None and not (
-        isinstance(corrupt_at, (tuple, list))
-        and len(corrupt_at) == 2
-        and all(_is_int(value) for value in corrupt_at)
-    ):
-        raise TypeError(f"corrupt_at must be None or a pair of ints (m, n), got {corrupt_at!r}")
     summaries = []
     for check in config.checks:
         function = _CHECK_FUNCTIONS[check]
         counterexample = None
         notes: list[str] = []
         for m in range(config.m_from, config.m_to + 1):
-            counterexample, m_notes = function(m, config, corrupt_at)
+            counterexample, m_notes = function(m, config)
             notes.extend(m_notes)
             if counterexample is not None:
                 break

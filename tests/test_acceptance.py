@@ -32,6 +32,7 @@ from figurate.logbehavior import (
 from figurate.cli import cli
 from figurate.seqio import BFileStructureError, parse_bfile
 from figurate.verify import VerifySweepConfig, run_verify_sweep
+from faults import perturb
 
 M_LO, M_HI, N_MAX = 3, 50, 2000
 
@@ -206,16 +207,13 @@ def test_criterion_7_definition_equivalence_property():
         assert seen == set(LogBehavior)  # every class was exercised
 
 
-def test_criterion_8_failure_paths(tmp_path):
+def test_criterion_8_failure_paths(tmp_path, monkeypatch):
     with reported(8, "injected violations fail loudly and name the offender"):
         runner = CliRunner()
 
         # A corrupted term makes the sweep exit 1 naming the failing (m, n).
-        result = runner.invoke(
-            cli,
-            ["verify", "--m-to", "6", "--n-max", "50",
-             "--inject-corruption", "4,7"],
-        )
+        perturb(monkeypatch, "_first_order_terms", (4, 7), lambda term: term + 1)
+        result = runner.invoke(cli, ["verify", "--m-to", "6", "--n-max", "50"])
         assert result.exit_code == 1
         assert "m=4" in result.output and "n=7" in result.output
 

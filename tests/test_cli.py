@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from figurate.cli import cli
 from figurate.seqio import parse_bfile
+from faults import perturb
 
 
 @pytest.fixture
@@ -196,13 +197,18 @@ class TestVerify:
         result = runner.invoke(cli, self.NARROW + ["--delta-offset", "1"])
         assert result.exit_code == 0
 
-    def test_injected_corruption_is_reported(self, runner):
-        result = runner.invoke(
-            cli, self.NARROW + ["--inject-corruption", "4,7"]
-        )
+    def test_injected_corruption_is_reported(self, runner, monkeypatch):
+        perturb(monkeypatch, "_first_order_terms", (4, 7), lambda term: term + 1)
+        result = runner.invoke(cli, self.NARROW)
         assert result.exit_code == 1
         assert "counterexample" in result.output
         assert "m=4" in result.output and "n=7" in result.output
+
+    def test_injected_doslic_fault_is_reported(self, runner, monkeypatch):
+        perturb(monkeypatch, "_coefficients", (5, 20), lambda c: (c[0], -c[1], c[2]))
+        result = runner.invoke(cli, self.NARROW + ["--checks", "doslic"])
+        assert result.exit_code == 1
+        assert result.output.endswith("counterexample: check=doslic m=5 n=20 T(n) > 0\n")
 
     def test_malformed_injection_is_usage_error(self, runner):
         result = runner.invoke(cli, self.NARROW + ["--inject-corruption", "4;7"])
@@ -221,6 +227,24 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 3 6\n"
+
+    def test_runtime_imports_only_click_and_the_standard_library(self):
+        # click is the one declared runtime dependency: importing the package
+        # and its entry points may load no other top-level module outside the
+        # standard library (no sympy, no test tools).
+        import subprocess
+        import sys
+
+        def loaded(modules):
+            script = f"import sys, {modules}; print(' '.join(sys.modules))"
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True
+            )
+            return {name.partition(".")[0] for name in proc.stdout.split()}
+
+        extra = loaded("figurate, figurate.cli, figurate.__main__") - loaded("click")
+        assert "figurate" in extra
+        assert extra - set(sys.stdlib_module_names) == {"figurate"}
 
     def test_help_shows_subcommands(self, runner):
         result = runner.invoke(cli, ["--help"])

@@ -284,3 +284,31 @@ class TestExactHalving:
         product = n * ((m - 2) * n - m + 4)
         assert product % 2 == 0
         assert closed_form(m, n) * 2 == product
+
+
+class TestBoolArguments:
+    """bool is an int subclass, but True is no polygon order, index or count."""
+
+    FUNCTIONS = [
+        closed_form,
+        closed_form_alt,
+        gnomon,
+        coefficient_r,
+        coefficient_t,
+        recurrence_coefficients,
+        generate_first_order,
+        generate_second_order,
+        progression_sums,
+        quotient_direct,
+        quotient_recurrence,
+    ]
+
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_rejects_a_bool_order(self, function):
+        with pytest.raises(TypeError, match="polygon order must be an int, got bool"):
+            function(True, 5)
+
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_rejects_a_bool_index_or_count(self, function):
+        with pytest.raises(TypeError, match="must be an int, got bool"):
+            function(3, True)

@@ -1,11 +1,13 @@
 """Tests for sequence classification, quotient checks, and the criterion."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from figurate import core
 from figurate.core import (
     closed_form,
     coefficient_r,
@@ -22,6 +24,7 @@ from figurate.logbehavior import (
     margin_sequence,
     quotient_monotonicity,
 )
+from faults import perturb
 from fraction_sweep import fraction_doslic_criterion
 
 
@@ -216,6 +219,34 @@ class TestQuotientBounds:
         with pytest.raises(ValueError):
             check_quotient_bounds(3, [])
 
+    @pytest.mark.parametrize(
+        "quotients, message",
+        [
+            ([2.5, Fraction(1, 2)], "term 1 is a float"),
+            ([Fraction(3, 2), "2"], "term 2 has unsupported type str"),
+            ([2, 3, 1.0], "term 3 is a float"),
+        ],
+    )
+    def test_rejects_inexact_quotients_naming_the_position(self, quotients, message):
+        with pytest.raises(TypeError, match=message):
+            check_quotient_bounds(3, quotients)
+
+    @given(
+        m=st.integers(min_value=3, max_value=12),
+        quotients=st.lists(
+            st.fractions(min_value=0, max_value=15, max_denominator=40) | st.integers(0, 15),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_matches_the_fraction_comparisons(self, m, quotients):
+        low = [position for position, x in enumerate(quotients, start=1) if x <= 1]
+        high = [position for position, x in enumerate(quotients, start=1) if x > m]
+        report = check_quotient_bounds(m, quotients)
+        assert report.lower.first_failure == (low[0] if low else None)
+        assert report.upper.first_failure == (high[0] if high else None)
+        assert report.in_bounds == (not low and not high)
+
 
 class TestMarginSequence:
     def test_frozen_values(self):
@@ -241,6 +272,21 @@ class TestMarginSequence:
     )
     def test_all_margins_nonnegative(self, m, count):
         assert all(margin >= 0 for margin in margin_sequence(m, count))
+
+
+def coefficient_triples(r_of, t_of):
+    """A stand-in for core._coefficients: (r, t, d) from n -> R(n), T(n), over a common d > 0."""
+
+    def coefficients(m, first=3):
+        for n in itertools.count(first):
+            big_r, big_t = r_of(n), t_of(n)
+            yield (
+                big_r.numerator * big_t.denominator,
+                big_t.numerator * big_r.denominator,
+                big_r.denominator * big_t.denominator,
+            )
+
+    return coefficients
 
 
 class TestDoslicCriterion:
@@ -276,49 +322,49 @@ class TestDoslicCriterion:
         assert report.delta_offset == 1
         assert report.r_nonneg.ok and report.t_nonpos.ok and report.seed_step_ok.ok
 
-    def test_injected_positive_t_is_caught(self):
-        report = check_doslic_criterion(
-            3, 3, 10, t_of=lambda n: -coefficient_t(3, n)
-        )
+    def test_injected_positive_t_is_caught(self, monkeypatch):
+        perturb(monkeypatch, "_coefficients", (3, 3), lambda c: (c[0], -c[1], c[2]))
+        report = check_doslic_criterion(3, 3, 10)
         assert not report.t_nonpos.ok
         assert report.t_nonpos.first_failure == 3
         assert not report.verdict
 
-    def test_injected_negative_r_is_caught(self):
-        report = check_doslic_criterion(
-            3, 3, 10, r_of=lambda n: -coefficient_r(3, n)
-        )
+    def test_injected_negative_r_is_caught(self, monkeypatch):
+        perturb(monkeypatch, "_coefficients", (3, 3), lambda c: (-c[0], c[1], c[2]))
+        report = check_doslic_criterion(3, 3, 10)
         assert not report.r_nonneg.ok
         assert report.r_nonneg.first_failure == 3
         assert not report.verdict
 
     @pytest.mark.parametrize("lag", [1, 2])
     def test_matches_the_fraction_criterion(self, lag):
-        # The integer conditions, with and without the coefficient hooks,
-        # against the former Fraction implementation. The crooked hooks give
-        # R and T different denominators, and their R, T and delta conditions
-        # first fail inside the windows, at indices that depend on m and lag.
+        # The integer conditions against the former Fraction implementation,
+        # on the real coefficients and on R and T replaced in figurate.core;
+        # the oracle is handed the same R and T. The real ones, put back over
+        # a common denominator, must give the same report; the crooked ones
+        # give R and T different denominators, and their R, T and delta
+        # conditions first fail inside the windows, at indices that depend on
+        # m and lag.
         crooked = {
             "r_of": lambda n: Fraction(30 - n, 7 * n),
             "t_of": lambda n: Fraction(n - 25, 4),
         }
         for m in (3, 4, 7, 20):
+            # R and T as Fractions, computed before anything is patched; the
+            # windows below read them up to n = 81
+            real = {
+                "r_of": {n: coefficient_r(m, n) for n in range(3, 82)}.__getitem__,
+                "t_of": {n: coefficient_t(m, n) for n in range(3, 82)}.__getitem__,
+            }
             for n_start, n_end in ((3, 3), (3, 80), (5, 40)):
                 expected = fraction_doslic_criterion(m, n_start, n_end, lag)
                 assert check_doslic_criterion(m, n_start, n_end, lag) == expected
-                hooked = check_doslic_criterion(
-                    m,
-                    n_start,
-                    n_end,
-                    lag,
-                    r_of=lambda n: coefficient_r(m, n),
-                    t_of=lambda n: coefficient_t(m, n),
-                )
-                assert hooked == expected
-                for hooks in ({"r_of": crooked["r_of"]}, {"t_of": crooked["t_of"]}, crooked):
-                    assert check_doslic_criterion(
-                        m, n_start, n_end, lag, **hooks
-                    ) == fraction_doslic_criterion(m, n_start, n_end, lag, **hooks)
+                for hooks in ({}, {"r_of": crooked["r_of"]}, {"t_of": crooked["t_of"]}, crooked):
+                    coefficients = {**real, **hooks}
+                    expected = fraction_doslic_criterion(m, n_start, n_end, lag, **coefficients)
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(core, "_coefficients", coefficient_triples(**coefficients))
+                        assert check_doslic_criterion(m, n_start, n_end, lag) == expected
 
     def test_rejects_start_below_three(self):
         with pytest.raises(ValueError):
@@ -331,6 +377,25 @@ class TestDoslicCriterion:
     def test_rejects_bad_offset(self):
         with pytest.raises(ValueError):
             check_doslic_criterion(3, 3, 5, delta_offset=3)
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ((3, 3, "10"), "window end must be an int, got str"),
+            ((3, 3, 10.0), "window end must be an int, got float"),
+            ((3, 3, True), "window end must be an int, got bool"),
+            ((3, True, 10), "window start must be an int, got bool"),
+            ((3, 3, 10, True), "delta_offset must be an int, got bool"),
+            ((3, 3, 10, 2.0), "delta_offset must be an int, got float"),
+        ],
+    )
+    def test_rejects_non_int_window_and_offset(self, arguments, message):
+        with pytest.raises(TypeError, match=message):
+            check_doslic_criterion(*arguments)
+
+    def test_reversed_window_message_names_the_window(self):
+        with pytest.raises(ValueError, match=r"window end must be >= window start, got \[5, 4\]"):
+            check_doslic_criterion(3, 5, 4)
 
 
 class TestEnumRendering:

@@ -90,6 +90,21 @@ class TestEmitBFile:
         with pytest.raises(ValueError):
             emit_bfile(1, [])
 
+    @pytest.mark.parametrize(
+        "offset, values, message",
+        [
+            (1, [Fraction(1, 2)], "b-file value 1 is a Fraction"),
+            (1, [Fraction(2)], "b-file value 1 is a Fraction"),
+            (1, [1.5, 2], "b-file value 1 is a float"),
+            (1, [1, True], "b-file value 2 is a bool"),
+            (0.5, [1], "b-file offset must be an int, got float"),
+            (True, [1], "b-file offset must be an int, got bool"),
+        ],
+    )
+    def test_rejects_what_parse_bfile_cannot_read(self, offset, values, message):
+        with pytest.raises(TypeError, match=message):
+            emit_bfile(offset, values)
+
     @given(
         offset=st.integers(min_value=-5, max_value=5),
         values=st.lists(
@@ -129,6 +144,10 @@ class TestEmitCsv:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             emit_csv({"a": [1.5]})
+
+    def test_rejects_bools(self):
+        with pytest.raises(TypeError, match="column 'b' holds bool"):
+            emit_csv({"a": [1, 2], "b": [3, True]})
 
 
 class TestParseSequenceFile:

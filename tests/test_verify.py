@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figurate import logbehavior, verify
+from figurate import core, verify
 from figurate.core import (
     _coefficients,
     _compare,
@@ -18,6 +18,7 @@ from figurate.core import (
     closed_form,
     coefficient_r,
     coefficient_t,
+    gnomon,
 )
 from figurate.verify import (
     CHECK_NAMES,
@@ -26,6 +27,7 @@ from figurate.verify import (
     _seed_quotients,
     run_verify_sweep,
 )
+from faults import perturb
 from fraction_sweep import run_fraction_sweep
 
 
@@ -102,10 +104,9 @@ class TestSweep:
         )
         assert [s.check for s in report.summaries] == ["margins"]
 
-    def test_corruption_is_caught_by_cross_formula(self):
-        report = run_verify_sweep(
-            VerifySweepConfig(m_to=8, n_max=60), corrupt_at=(4, 7)
-        )
+    def test_corruption_is_caught_by_cross_formula(self, monkeypatch):
+        perturb(monkeypatch, "_first_order_terms", (4, 7), lambda term: term + 1)
+        report = run_verify_sweep(VerifySweepConfig(m_to=8, n_max=60))
         assert not report.passed
         failing = report.summary_for("cross-formula")
         assert not failing.passed
@@ -115,10 +116,9 @@ class TestSweep:
         assert counterexample.witness
         assert report.first_counterexample is counterexample
 
-    def test_corruption_outside_window_is_invisible(self):
-        report = run_verify_sweep(
-            VerifySweepConfig(m_to=5, n_max=30), corrupt_at=(9, 3)
-        )
+    def test_corruption_outside_window_is_invisible(self, monkeypatch):
+        perturb(monkeypatch, "_first_order_terms", (9, 3), lambda term: term + 1)
+        report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
         assert report.passed
 
     def test_lag_one_sweep_passes(self):
@@ -126,11 +126,6 @@ class TestSweep:
             VerifySweepConfig(m_to=8, n_max=60, delta_offset=1)
         )
         assert report.passed
-
-    @pytest.mark.parametrize("corrupt_at", [(4,), (4, 7.0), (4, 7, 1), (True, 7), "4,7", 4])
-    def test_rejects_malformed_corruption(self, corrupt_at):
-        with pytest.raises(TypeError, match="corrupt_at"):
-            run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30), corrupt_at=corrupt_at)
 
 
 def fixed(values):
@@ -151,10 +146,9 @@ class TestCheckFunctions:
             (10, 9, 10, 10, 10),
             (15, 14, 15, 15, 15),
         ]
-        columns = zip(verify._ROUTES, zip(*terms))
-        routes = tuple((name, fixed(column)) for (name, _), column in columns)
-        monkeypatch.setattr(verify, "_ROUTES", routes)
-        assert verify._check_cross_formula(3, VerifySweepConfig(n_max=10), None) == (
+        for (_, name), column in zip(verify._ROUTES, zip(*terms)):
+            monkeypatch.setattr(core, name, fixed(column))
+        assert verify._check_cross_formula(3, VerifySweepConfig(n_max=10)) == (
             Counterexample("cross-formula", 3, 4, "closed-form=10 alt-form=9"),
             [],
         )
@@ -168,8 +162,8 @@ class TestCheckFunctions:
         ],
     )
     def test_bounds(self, monkeypatch, direct, expected):
-        monkeypatch.setattr(verify, "_direct_quotients", fixed(direct))
-        assert verify._check_bounds(5, VerifySweepConfig(n_max=10), None) == (
+        monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
+        assert verify._check_bounds(5, VerifySweepConfig(n_max=10)) == (
             Counterexample("bounds", 5, *expected),
             [],
         )
@@ -177,10 +171,10 @@ class TestCheckFunctions:
     def test_monotonicity_notes_equal_steps_and_stops_at_an_increase(self, monkeypatch):
         direct = [(4, 1), (18, 8), (9, 4), (2, 1), (3, 1)]
         recurred = [(4, 1), (9, 4), (9, 4), (2, 1), (3, 1)]
-        monkeypatch.setattr(verify, "_direct_quotients", fixed(direct))
-        monkeypatch.setattr(verify, "_recurrence_quotients", fixed(recurred))
+        monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
+        monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred))
         config = VerifySweepConfig(n_max=10)
-        assert verify._check_monotonicity(4, config, None) == (
+        assert verify._check_monotonicity(4, config) == (
             Counterexample("monotonicity", 4, 5, "x(4)=2 < x(5)=3"),
             ["equality x(2) = x(3) = 9/4 at m=4"],
         )
@@ -191,16 +185,16 @@ class TestCheckFunctions:
             ((6, 5), (5, 4), "direct=6/5 recurrence=5/4"),
         ]
         for x, y, witness in mismatches:
-            monkeypatch.setattr(verify, "_direct_quotients", fixed(direct + [x]))
-            monkeypatch.setattr(verify, "_recurrence_quotients", fixed(recurred + [y]))
-            assert verify._check_monotonicity(4, config, None) == (
+            monkeypatch.setattr(core, "_direct_quotients", fixed(direct + [x]))
+            monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred + [y]))
+            assert verify._check_monotonicity(4, config) == (
                 Counterexample("monotonicity", 4, 6, witness),
                 [],
             )
 
     def test_margins(self, monkeypatch):
-        monkeypatch.setattr(verify, "_closed_form_terms", fixed([1, 2, 4, 7, 20, 21]))
-        assert verify._check_margins(3, VerifySweepConfig(n_max=10), None) == (
+        monkeypatch.setattr(core, "_closed_form_terms", fixed([1, 2, 4, 7, 20, 21]))
+        assert verify._check_margins(3, VerifySweepConfig(n_max=10)) == (
             Counterexample("margins", 3, 4, "margin=-31"),
             ["zero margin at m=3 j=2"],
         )
@@ -208,9 +202,9 @@ class TestCheckFunctions:
     @pytest.mark.parametrize("lag, n", [(1, 3), (2, 4)])
     def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch, lag, n):
         direct = [(3, 1), (1, 2), (10, 6), (15, 10), (21, 15)]  # only x(2) < 1
-        monkeypatch.setattr(logbehavior, "_direct_quotients", fixed(direct))
+        monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
         config = VerifySweepConfig(n_max=5, delta_offset=lag)
-        assert verify._check_doslic(3, config, None) == (
+        assert verify._check_doslic(3, config) == (
             Counterexample("doslic", 3, n, f"dR(n)x(n-{lag}) + dT(n) > 0"),
             [],
         )
@@ -220,16 +214,73 @@ class TestCheckFunctions:
         [((), (5,), (5, "T(n) > 0")), ((7,), (5,), (7, "R(n) < 0"))],
     )
     def test_doslic_reports_r_then_t(self, monkeypatch, negative_r, positive_t, expected):
-        true_coefficients = logbehavior._coefficients
-
-        def crooked(m, first=3):
-            for n, (r, t, d) in zip(itertools.count(first), true_coefficients(m, first)):
-                yield (-r if n in negative_r else r), (-t if n in positive_t else t), d
-
-        monkeypatch.setattr(logbehavior, "_coefficients", crooked)
+        for n in negative_r:
+            perturb(monkeypatch, "_coefficients", (3, n), lambda c: (-c[0], c[1], c[2]))
+        for n in positive_t:
+            perturb(monkeypatch, "_coefficients", (3, n), lambda c: (c[0], -c[1], c[2]))
         config = VerifySweepConfig(m_from=3, m_to=4, n_max=10, checks=("doslic",))
         summary = run_verify_sweep(config).summary_for("doslic")
         assert summary.counterexample == Counterexample("doslic", 3, *expected)
+
+
+# (check, core generator, change at (m, n), witness the check must report at (m, n))
+SEAM_FAULTS = [
+    ("cross-formula", "_alt_form_terms", lambda s: s + 1, "closed-form=3940 alt-form=3941"),
+    ("cross-formula", "_first_order_terms", lambda s: s + 1, "closed-form=3940 first-order=3941"),
+    ("cross-formula", "_second_order_terms", lambda s: s + 1, "closed-form=3940 second-order=3941"),
+    (
+        "cross-formula",
+        "_progression_terms",
+        lambda s: s + 1,
+        "closed-form=3940 progression-sum=3941",
+    ),
+    ("bounds", "_direct_quotients", lambda x: (1, 1), "x(40)=1 is not > 1"),
+    (
+        "monotonicity",
+        "_recurrence_quotients",
+        lambda x: (x[0] + 1, x[1]),
+        "direct=4141/3940 recurrence=2071/1970",
+    ),
+    # S(40) - gnomon(39) = S(39): the margin at j = 40 is S(39) (S(39) - S(41)) < 0
+    ("margins", "_closed_form_terms", lambda s: s - gnomon(7, 39), "margin=-1486368"),
+    ("doslic", "_coefficients", lambda c: (-c[0], c[1], c[2]), "R(n) < 0"),
+    ("doslic", "_coefficients", lambda c: (c[0], -c[1], c[2]), "T(n) > 0"),
+]
+SEAM_IDS = [
+    "alt-form",
+    "first-order",
+    "second-order",
+    "progression-sum",
+    "bounds",
+    "monotonicity",
+    "margins",
+    "doslic-R",
+    "doslic-T",
+]
+
+
+class TestFaultsThroughTheSeam:
+    """Each check fails on a fault put into a `figurate.core` generator, naming its (m, n)."""
+
+    CONFIG = dict(m_to=8, n_max=60)
+
+    @pytest.mark.parametrize("check, name, change, witness", SEAM_FAULTS, ids=SEAM_IDS)
+    def test_the_check_names_the_fault(self, monkeypatch, check, name, change, witness):
+        # Only the named check runs: a crooked coefficient stream also makes the
+        # second-order route raise InvariantViolation inside cross-formula.
+        perturb(monkeypatch, name, (7, 40), change)
+        report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=(check,)))
+        assert report.first_counterexample == Counterexample(check, 7, 40, witness)
+
+    # Every check reads indices up to n_max + 1 (x(n_max) = S(n_max + 1)/S(n_max)
+    # and the coefficients at n_max + 1), so n_max + 2 is the first index outside.
+    @pytest.mark.parametrize("at", [(9, 40), (7, 62)], ids=["m-above-m_to", "n-above-n_max"])
+    @pytest.mark.parametrize("check, name, change, witness", SEAM_FAULTS, ids=SEAM_IDS)
+    def test_a_fault_outside_the_window_is_invisible(
+        self, monkeypatch, check, name, change, witness, at
+    ):
+        perturb(monkeypatch, name, at, change)
+        assert run_verify_sweep(VerifySweepConfig(**self.CONFIG)).passed
 
 
 @st.composite
@@ -250,9 +301,15 @@ class TestFractionOracle:
     @settings(max_examples=60, deadline=None)
     @given(sweeps())
     def test_reports_match_the_fraction_sweep(self, sweep):
+        # The oracle runs first: its first-order route reads the core
+        # generator too, and takes its corruption from its own corrupt_at.
         config, corrupt_at = sweep
-        report = run_verify_sweep(config, corrupt_at=corrupt_at)
-        assert report == run_fraction_sweep(config, corrupt_at)
+        expected = run_fraction_sweep(config, corrupt_at)
+        # hypothesis rejects function-scoped fixtures, so no monkeypatch fixture
+        with pytest.MonkeyPatch.context() as patch:
+            if corrupt_at is not None:
+                perturb(patch, "_first_order_terms", corrupt_at, lambda term: term + 1)
+            assert run_verify_sweep(config) == expected
 
 
 def sign(value):
