@@ -9,102 +9,12 @@ criterion over finite windows. All values are arbitrary-precision integers
 or rationals; nothing is ever rounded.
 """
 
-from figurate.core import (
-    MIN_POLYGON_ORDER,
-    InvariantViolation,
-    RecurrenceCoefficients,
-    closed_form,
-    closed_form_alt,
-    coefficient_r,
-    coefficient_t,
-    generate_first_order,
-    generate_second_order,
-    gnomon,
-    progression_sums,
-    quotient_direct,
-    quotient_recurrence,
-    recurrence_coefficients,
-)
-from figurate.logbehavior import (
-    BoundsReport,
-    ConditionFlag,
-    CriterionReport,
-    LogBehavior,
-    LogBehaviorReport,
-    Monotonicity,
-    MonotonicityReport,
-    PositiveSequence,
-    check_doslic_criterion,
-    check_quotient_bounds,
-    classify_log_behavior,
-    margin_sequence,
-    quotient_monotonicity,
-)
-from figurate.seqio import (
-    REFERENCE_TABLES,
-    BFileParseError,
-    BFileRecord,
-    BFileStructureError,
-    ReferenceTable,
-    SequenceParseError,
-    emit_bfile,
-    emit_csv,
-    parse_bfile,
-    parse_sequence_file,
-)
-from figurate.verify import (
-    CHECK_NAMES,
-    CheckSummary,
-    Counterexample,
-    SweepReport,
-    VerifySweepConfig,
-    run_verify_sweep,
-)
+from figurate import core, logbehavior, seqio, verify
+from figurate.core import *  # noqa: F403
+from figurate.logbehavior import *  # noqa: F403
+from figurate.seqio import *  # noqa: F403
+from figurate.verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MIN_POLYGON_ORDER",
-    "InvariantViolation",
-    "RecurrenceCoefficients",
-    "closed_form",
-    "closed_form_alt",
-    "coefficient_r",
-    "coefficient_t",
-    "generate_first_order",
-    "generate_second_order",
-    "gnomon",
-    "progression_sums",
-    "quotient_direct",
-    "quotient_recurrence",
-    "recurrence_coefficients",
-    "BoundsReport",
-    "ConditionFlag",
-    "CriterionReport",
-    "LogBehavior",
-    "LogBehaviorReport",
-    "Monotonicity",
-    "MonotonicityReport",
-    "PositiveSequence",
-    "check_doslic_criterion",
-    "check_quotient_bounds",
-    "classify_log_behavior",
-    "margin_sequence",
-    "quotient_monotonicity",
-    "REFERENCE_TABLES",
-    "BFileParseError",
-    "BFileRecord",
-    "BFileStructureError",
-    "ReferenceTable",
-    "SequenceParseError",
-    "emit_bfile",
-    "emit_csv",
-    "parse_bfile",
-    "parse_sequence_file",
-    "CHECK_NAMES",
-    "CheckSummary",
-    "Counterexample",
-    "SweepReport",
-    "VerifySweepConfig",
-    "run_verify_sweep",
-]
+__all__ = [*core.__all__, *logbehavior.__all__, *seqio.__all__, *verify.__all__]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 MIN_POLYGON_ORDER = 3
@@ -35,7 +34,6 @@ MIN_POLYGON_ORDER = 3
 __all__ = [
     "MIN_POLYGON_ORDER",
     "InvariantViolation",
-    "RecurrenceCoefficients",
     "closed_form",
     "closed_form_alt",
     "gnomon",
@@ -43,7 +41,6 @@ __all__ = [
     "generate_second_order",
     "coefficient_r",
     "coefficient_t",
-    "recurrence_coefficients",
     "progression_sums",
     "quotient_direct",
     "quotient_recurrence",
@@ -73,7 +70,8 @@ def _check_index(n: int, minimum: int = 1, what: str = "term index") -> None:
         raise ValueError(f"{what} must be >= {minimum}, got {n}")
 
 
-# Unchecked kernels. Each route is an infinite generator of exact ints that
+# Unchecked kernels. Each route is an infinite generator of exact ints (the
+# second-order route yields a step that does not divide as a Fraction) that
 # trusts its polygon order; the public functions below validate their
 # arguments once and then slice a generator. No route reads another route.
 # Callers in other modules look a generator up on this module when they call
@@ -111,15 +109,16 @@ def _coefficients(m: int, first: int = 3) -> Iterator[tuple[int, int, int]]:
         yield m + 2 * stretch, -(m - 1 + stretch), 1 + stretch
 
 
-def _second_order_terms(m: int) -> Iterator[int]:
+def _second_order_terms(m: int) -> Iterator[int | Fraction]:
+    """Like the other routes, except that a step that does not divide is a Fraction."""
     older, old = 1, m
     yield older
     yield old
-    for n, (r, t, d) in zip(itertools.count(3), _coefficients(m)):
-        value, remainder = divmod(r * old + t * older, d)
+    for r, t, d in _coefficients(m):
+        step = r * old + t * older
+        value, remainder = divmod(step, d)
         if remainder:
-            step = Fraction(r * old + t * older, d)
-            raise InvariantViolation(f"second-order step gave non-integer {step} at m={m} n={n}")
+            value = Fraction(step, d)
         yield value
         older, old = old, value
 
@@ -227,20 +226,6 @@ def coefficient_t(m: int, n: int) -> Fraction:
     return Fraction(t, d)
 
 
-@dataclass(frozen=True)
-class RecurrenceCoefficients:
-    """Exact coefficient pair (r, t) of the second-order recurrence at index n."""
-
-    r: Fraction
-    t: Fraction
-    n: int
-
-
-def recurrence_coefficients(m: int, n: int) -> RecurrenceCoefficients:
-    """Both recurrence coefficients at index n >= 3, as one value."""
-    return RecurrenceCoefficients(coefficient_r(m, n), coefficient_t(m, n), n)
-
-
 def generate_second_order(m: int, count: int) -> list[int]:
     """First `count` m-gonal numbers via S(n) = R(n) S(n-1) + T(n) S(n-2).
 
@@ -250,7 +235,11 @@ def generate_second_order(m: int, count: int) -> list[int]:
     """
     _check_polygon_order(m)
     _check_index(count, minimum=1, what="count")
-    return list(itertools.islice(_second_order_terms(m), count))
+    terms = list(itertools.islice(_second_order_terms(m), count))
+    for n, term in enumerate(terms, start=1):
+        if not isinstance(term, int):
+            raise InvariantViolation(f"second-order step gave non-integer {term} at m={m} n={n}")
+    return terms
 
 
 def progression_sums(m: int, count: int) -> list[int]:

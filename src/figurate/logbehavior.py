@@ -72,9 +72,9 @@ class PositiveSequence(Sequence):
     integer numerator and denominator, not necessarily in lowest terms, so
     the classifiers below work on integers only. `terms`, indexing,
     iteration, equality, hashing and repr use Fractions, built from those
-    integers on first use. Floats are rejected outright (they are not
-    exact), and any term <= 0 is rejected with an error naming its 1-based
-    position and its value in lowest terms.
+    integers on first use. Floats (not exact) and bools (not numbers) are
+    rejected outright, and any term <= 0 is rejected with an error naming
+    its 1-based position and its value in lowest terms.
     """
 
     __slots__ = ("_numerators", "_denominators", "_terms")
@@ -134,13 +134,14 @@ class PositiveSequence(Sequence):
 
 
 def _exact_pair(position: int, term: int | Fraction) -> tuple[int, int]:
-    if isinstance(term, int):
+    if _is_int(term):
         return term, 1
     if isinstance(term, Fraction):
         return term.numerator, term.denominator
-    if isinstance(term, float):
+    if isinstance(term, (bool, float)):
         raise TypeError(
-            f"term {position} is a float; only exact ints or Fractions are accepted"
+            f"term {position} is a {type(term).__name__};"
+            " only exact ints or Fractions are accepted"
         )
     raise TypeError(
         f"term {position} has unsupported type {type(term).__name__};"
@@ -199,10 +200,6 @@ class BoundsReport:
     lower: ConditionFlag
     upper: ConditionFlag
     window: tuple[int, int]
-
-    @property
-    def in_bounds(self) -> bool:
-        return self.lower.ok and self.upper.ok
 
 
 @dataclass(frozen=True)
@@ -348,8 +345,8 @@ def check_quotient_bounds(
 ) -> BoundsReport:
     """Verify 1 < x(n) <= m for every supplied quotient (1-based positions).
 
-    Each quotient must be an int or a Fraction; anything else, floats
-    included, raises TypeError naming its position. With x = p/q and q > 0,
+    Each quotient must be an int or a Fraction; anything else, floats and
+    bools included, raises TypeError naming its position. With x = p/q and q > 0,
     the bounds are decided on integers: x <= 1 when p <= q, x > m when
     p > m q.
     """

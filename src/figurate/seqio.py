@@ -25,8 +25,6 @@ __all__ = [
     "BFileParseError",
     "BFileStructureError",
     "SequenceParseError",
-    "ReferenceTable",
-    "REFERENCE_TABLES",
     "parse_bfile",
     "emit_bfile",
     "emit_csv",
@@ -64,24 +62,6 @@ class SequenceParseError(ValueError):
 class BFileRecord:
     index: int
     value: int
-
-
-@dataclass(frozen=True)
-class ReferenceTable:
-    """Named list of known-good terms embedded for golden tests."""
-
-    name: str
-    terms: tuple[int, ...]
-
-
-# First ten triangular numbers, OEIS A000217.
-A000217_FIRST10 = ReferenceTable(
-    "A000217-first10", (1, 3, 6, 10, 15, 21, 28, 36, 45, 55)
-)
-
-REFERENCE_TABLES: dict[str, ReferenceTable] = {
-    table.name: table for table in (A000217_FIRST10,)
-}
 
 
 def _as_text(data: str | bytes) -> str:

@@ -210,6 +210,16 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.output.endswith("counterexample: check=doslic m=5 n=20 T(n) > 0\n")
 
+    def test_non_integer_second_order_step_is_reported(self, runner, monkeypatch):
+        perturb(monkeypatch, "_coefficients", (5, 20), lambda c: (-c[0], c[1], c[2]))
+        result = runner.invoke(cli, self.NARROW)
+        # exit 1 through sys.exit, not through an escaped InvariantViolation
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.endswith(
+            "counterexample: check=cross-formula m=5 n=20 closed-form=590 second-order=-87782/55\n"
+        )
+
     def test_malformed_injection_is_usage_error(self, runner):
         result = runner.invoke(cli, self.NARROW + ["--inject-corruption", "4;7"])
         assert result.exit_code == 2
@@ -245,6 +255,26 @@ class TestEntryPoints:
         extra = loaded("figurate, figurate.cli, figurate.__main__") - loaded("click")
         assert "figurate" in extra
         assert extra - set(sys.stdlib_module_names) == {"figurate"}
+
+    def test_package_re_exports_each_module_all(self):
+        import figurate
+        from figurate import core, logbehavior, seqio, verify
+
+        modules = (core, logbehavior, seqio, verify)
+        names = [name for module in modules for name in module.__all__]
+        assert figurate.__all__ == names
+        assert len(set(names)) == len(names)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(figurate, name) is getattr(module, name)
+        for name in (
+            "RecurrenceCoefficients",
+            "recurrence_coefficients",
+            "ReferenceTable",
+            "REFERENCE_TABLES",
+        ):
+            assert not hasattr(figurate, name)
+            assert not any(hasattr(module, name) for module in modules)
 
     def test_help_shows_subcommands(self, runner):
         result = runner.invoke(cli, ["--help"])

@@ -23,7 +23,6 @@ from figurate.core import (
     progression_sums,
     quotient_direct,
     quotient_recurrence,
-    recurrence_coefficients,
 )
 
 
@@ -164,12 +163,6 @@ class TestRecurrenceCoefficients:
         assert coefficient_t(3, 4) == Fraction(-4, 3)
         assert coefficient_t(4, 3) == Fraction(-5, 3)
 
-    def test_pair_helper_bundles_both(self):
-        pair = recurrence_coefficients(5, 4)
-        assert pair.r == coefficient_r(5, 4)
-        assert pair.t == coefficient_t(5, 4)
-        assert pair.n == 4
-
     @given(m=small_orders, n=st.integers(min_value=3, max_value=80))
     def test_coefficients_satisfy_term_recurrence(self, m, n):
         # The coefficients must reproduce each term from the two before it.
@@ -295,7 +288,6 @@ class TestBoolArguments:
         gnomon,
         coefficient_r,
         coefficient_t,
-        recurrence_coefficients,
         generate_first_order,
         generate_second_order,
         progression_sums,

@@ -76,6 +76,12 @@ class TestPositiveSequence:
         with pytest.raises(TypeError):
             PositiveSequence(["3"])
 
+    def test_rejects_bools_naming_the_position(self):
+        # bool is an int subclass, but True is no term: it must not read as 1
+        message = "term 1 is a bool; only exact ints or Fractions are accepted"
+        with pytest.raises(TypeError, match=message):
+            PositiveSequence([True, 2, 3])
+
 
 class TestClassification:
     def test_triangular_numbers_are_log_concave(self):
@@ -114,6 +120,10 @@ class TestClassification:
             report = classify_log_behavior(PositiveSequence(terms))
             assert report.classification is LogBehavior.INDETERMINATE
             assert report.margins == ()
+
+    def test_rejects_a_bool_term(self):
+        with pytest.raises(TypeError, match="term 2 is a bool"):
+            classify_log_behavior([1, True, 2])
 
     def test_margins_omitted_unless_requested(self):
         report = classify_log_behavior(PositiveSequence([1, 3, 6, 10]))
@@ -190,7 +200,6 @@ class TestQuotientBounds:
     def test_true_quotients_stay_in_bounds(self):
         for m in (3, 4, 5, 12, 50):
             report = check_quotient_bounds(m, quotient_direct(m, 100))
-            assert report.in_bounds
             assert report.lower.ok and report.upper.ok
             assert report.window == (1, 100)
 
@@ -208,7 +217,7 @@ class TestQuotientBounds:
     def test_upper_bound_is_attained_at_the_start(self):
         # x(1) = m sits exactly on the closed upper bound.
         report = check_quotient_bounds(9, [Fraction(9)])
-        assert report.in_bounds
+        assert report.lower.ok and report.upper.ok
 
     def test_lower_bound_is_strict(self):
         report = check_quotient_bounds(4, [Fraction(1)])
@@ -225,6 +234,8 @@ class TestQuotientBounds:
             ([2.5, Fraction(1, 2)], "term 1 is a float"),
             ([Fraction(3, 2), "2"], "term 2 has unsupported type str"),
             ([2, 3, 1.0], "term 3 is a float"),
+            ([True], "term 1 is a bool"),
+            ([2, Fraction(3, 2), False], "term 3 is a bool"),
         ],
     )
     def test_rejects_inexact_quotients_naming_the_position(self, quotients, message):
@@ -245,7 +256,7 @@ class TestQuotientBounds:
         report = check_quotient_bounds(m, quotients)
         assert report.lower.first_failure == (low[0] if low else None)
         assert report.upper.first_failure == (high[0] if high else None)
-        assert report.in_bounds == (not low and not high)
+        assert (report.lower.ok and report.upper.ok) == (not low and not high)
 
 
 class TestMarginSequence:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from figurate.logbehavior import PositiveSequence
 from figurate.seqio import (
-    A000217_FIRST10,
-    REFERENCE_TABLES,
     BFileParseError,
     BFileRecord,
     BFileStructureError,
@@ -221,11 +219,3 @@ class TestParseSequenceFile:
         assert parsed == expected
         assert hash(parsed) == hash(expected)
         assert repr(parsed) == "PositiveSequence([1/2])"
-
-
-class TestReferenceTable:
-    def test_triangular_table_contents(self):
-        assert A000217_FIRST10.terms == (1, 3, 6, 10, 15, 21, 28, 36, 45, 55)
-
-    def test_registry_lookup(self):
-        assert REFERENCE_TABLES[A000217_FIRST10.name] is A000217_FIRST10

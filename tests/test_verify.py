@@ -266,11 +266,22 @@ class TestFaultsThroughTheSeam:
 
     @pytest.mark.parametrize("check, name, change, witness", SEAM_FAULTS, ids=SEAM_IDS)
     def test_the_check_names_the_fault(self, monkeypatch, check, name, change, witness):
-        # Only the named check runs: a crooked coefficient stream also makes the
-        # second-order route raise InvariantViolation inside cross-formula.
+        # Only the named check runs: most faults also reach other checks (a
+        # crooked coefficient stream, for one, also breaks the second-order route).
         perturb(monkeypatch, name, (7, 40), change)
         report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=(check,)))
         assert report.first_counterexample == Counterexample(check, 7, 40, witness)
+
+    def test_a_non_integer_second_order_step_is_a_cross_formula_counterexample(
+        self, monkeypatch
+    ):
+        # With R(40) negated at m=7 the second-order step does not divide: the
+        # route yields it as a Fraction, and cross-formula reports it.
+        perturb(monkeypatch, "_coefficients", (7, 40), lambda c: (-c[0], c[1], c[2]))
+        report = run_verify_sweep(VerifySweepConfig(**self.CONFIG))
+        assert report.first_counterexample == Counterexample(
+            "cross-formula", 7, 40, "closed-form=3940 second-order=-2145316/191"
+        )
 
     # Every check reads indices up to n_max + 1 (x(n_max) = S(n_max + 1)/S(n_max)
     # and the coefficients at n_max + 1), so n_max + 2 is the first index outside.
