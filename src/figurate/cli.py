@@ -8,11 +8,14 @@ exact (integers or "p/q" rationals, never decimals).
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 
 import click
 
-from figurate.core import generate_first_order, quotient_direct
+from figurate import core
+from figurate.core import generate_first_order
 from figurate.logbehavior import (
     LogBehavior,
     classify_log_behavior,
@@ -67,11 +70,22 @@ def quotients(m: int, count: int, fmt: str):
     """Print the exact quotients x(n) = S(n+1)/S(n) for n = 1..COUNT."""
     if fmt == "bfile":
         raise click.UsageError("b-file records hold integers; quotients are rationals")
-    values = quotient_direct(m, count)
+    values = [
+        _lowest_terms(p, q) for p, q in itertools.islice(core._direct_quotients(m), count)
+    ]
     if fmt == "plain":
-        click.echo(" ".join(str(value) for value in values))
+        click.echo(" ".join(values))
     else:
-        click.echo(emit_csv({"n": list(range(1, count + 1)), "x": values}), nl=False)
+        # the CSV that emit_csv writes for these values as Fractions
+        rows = "".join(f"{n},{value}\n" for n, value in enumerate(values, start=1))
+        click.echo(f"n,x\n{rows}", nl=False)
+
+
+def _lowest_terms(p: int, q: int) -> str:
+    """p/q with q > 0 as `str(Fraction(p, q))` renders it, without building the Fraction."""
+    common = math.gcd(p, q)
+    p, q = p // common, q // common
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 @cli.command()

@@ -408,13 +408,16 @@ def check_doslic_criterion(
     window = range(n_start, n_end + 1)
     # x(n - delta_offset) for each n in the window
     lagged = itertools.islice(core._direct_quotients(m), n_start - delta_offset - 1, None)
-    for n, x, (here, ahead) in zip(window, lagged, itertools.pairwise(coefficients)):
-        if here[0] < 0 and first_r is None:
-            first_r = n
-        if here[1] > 0 and first_t is None:
-            first_t = n
-        if _doslic_delta(here, ahead, x) > 0 and first_delta is None:
-            first_delta = n
+    here = next(coefficients)
+    for n, x, ahead in zip(window, lagged, coefficients):
+        if here[0] < 0 or here[1] > 0 or _doslic_delta(here, ahead, x) > 0:
+            if here[0] < 0 and first_r is None:
+                first_r = n
+            if here[1] > 0 and first_t is None:
+                first_t = n
+            if _doslic_delta(here, ahead, x) > 0 and first_delta is None:
+                first_delta = n
+        here = ahead
 
     seed, following = itertools.islice(core._direct_quotients(m), n_start - 1, n_start + 1)
     seed_ok = _compare(seed, following) >= 0

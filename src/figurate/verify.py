@@ -139,8 +139,8 @@ def _check_cross_formula(m, config):
     routes = [getattr(core, name)(m) for _, name in _ROUTES]
     first = {}  # route position -> (n, witness) of its first disagreement
     for n, terms in zip(range(1, config.n_max + 1), zip(*routes)):
-        anchor = terms[0]
-        if terms.count(anchor) == len(terms):
+        anchor, alt, first_order, second_order, progression = terms
+        if anchor == alt == first_order == second_order == progression:
             continue
         for position, value in enumerate(terms):
             if value != anchor and position not in first:
@@ -162,6 +162,8 @@ def _check_bounds(m, config):
     seeds = _seed_quotients(m)
     for n, x in zip(range(1, config.n_max + 1), core._direct_quotients(m)):
         p, q = x
+        if q < p <= m * q and n > 3:
+            continue
         low = p <= q
         high = p > m * q
         off_seed = n <= 3 and _compare(x, seeds[n - 1]) != 0
@@ -193,15 +195,16 @@ def _check_monotonicity(m, config):
         range(1, config.n_max + 1), core._direct_quotients(m), core._recurrence_quotients(m)
     )
     for n, direct, recurred in rows:
-        if _compare(direct, recurred) != 0:
+        (a, b), (p, q) = direct, recurred
+        if a * q != p * b:
             witness = f"direct={Fraction(*direct)} recurrence={Fraction(*recurred)}"
             return Counterexample("monotonicity", m, n, witness), []
-        if previous is not None and increase is None:
-            order = _compare(recurred, previous)
-            if order > 0:
+        if increase is None and previous is not None and p * previous[1] >= previous[0] * q:
+            # x(n) >= x(n - 1): an increase, or a tie that is noted
+            if _compare(recurred, previous) > 0:
                 witness = f"x({n - 1})={Fraction(*previous)} < x({n})={Fraction(*recurred)}"
                 increase = Counterexample("monotonicity", m, n, witness)
-            elif order == 0:
+            else:
                 notes.append(f"equality x({n - 1}) = x({n}) = {Fraction(*recurred)} at m={m}")
         previous = recurred
     return increase, notes
@@ -214,9 +217,9 @@ def _check_margins(m, config):
     older, old = next(terms), next(terms)
     for j, term in enumerate(terms, start=2):
         margin = old * old - older * term
-        if margin < 0:
-            return Counterexample("margins", m, j, f"margin={margin}"), notes
-        if margin == 0:
+        if margin <= 0:
+            if margin < 0:
+                return Counterexample("margins", m, j, f"margin={margin}"), notes
             notes.append(f"zero margin at m={m} j={j}")
         older, old = old, term
     return None, notes

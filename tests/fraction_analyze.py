@@ -2,7 +2,8 @@
 
 PositiveSequence, classify_log_behavior, quotient_monotonicity and
 parse_sequence_file below are the former figurate.logbehavior and
-figurate.seqio code, kept verbatim (the class renamed to FractionSequence).
+figurate.seqio code, kept verbatim (the class renamed to FractionSequence)
+except for one rule taken over from figurate since: bool terms are rejected.
 Every term is a Fraction, and every margin, quotient and comparison is
 Fraction arithmetic. tests/test_analyze_oracle.py requires these and the
 integer versions in figurate to return identical reports and to raise
@@ -27,8 +28,8 @@ class FractionSequence(Sequence):
     """Immutable sequence of strictly positive exact rationals.
 
     Terms may be given as ints or Fractions; they are stored as Fractions.
-    Floats are rejected outright (they are not exact), and any term <= 0 is
-    rejected with an error naming its 1-based position.
+    Floats (not exact) and bools (not numbers) are rejected outright, and any
+    term <= 0 is rejected with an error naming its 1-based position.
     """
 
     __slots__ = ("_terms",)
@@ -36,9 +37,10 @@ class FractionSequence(Sequence):
     def __init__(self, terms: Iterable[int | Fraction]):
         checked = []
         for position, term in enumerate(terms, start=1):
-            if isinstance(term, float):
+            if isinstance(term, (bool, float)):
                 raise TypeError(
-                    f"term {position} is a float; only exact ints or Fractions are accepted"
+                    f"term {position} is a {type(term).__name__};"
+                    " only exact ints or Fractions are accepted"
                 )
             if not isinstance(term, (int, Fraction)):
                 raise TypeError(

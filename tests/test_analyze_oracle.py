@@ -6,6 +6,7 @@ the same exception type with the same message.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +24,13 @@ numerators = st.one_of(small, small, huge)
 positive_rationals = st.builds(Fraction, numerators, numerators)
 positive_terms = st.one_of(small, huge, positive_rationals)
 small_rationals = st.builds(Fraction, small, small)
-# Non-positive and inexact terms, mixed in rarely so most draws are valid.
+# Non-positive, inexact and non-number terms, mixed in rarely so most draws are valid.
 bad_terms = st.one_of(
     st.integers(min_value=-3, max_value=0),
     st.builds(Fraction, st.integers(min_value=-10**6, max_value=0), small),
     st.just(1.5),
     st.just("3"),
+    st.booleans(),
 )
 
 
@@ -96,6 +98,12 @@ class TestSequences:
         if new is not None:
             same_sequence(new, old)
             same_analysis(new, old)
+
+    @pytest.mark.parametrize("terms", [[True], [1, False, 2], [3, 2, True]])
+    def test_bool_terms_raise_the_same_error(self, terms):
+        error = outcome(PositiveSequence, terms)[1]
+        assert error is not None and error[0] is TypeError
+        assert outcome(oracle.FractionSequence, terms)[1] == error
 
     @settings(max_examples=100, deadline=None)
     @given(terms=term_lists)

@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+from fractions import Fraction
+
 import pytest
 from click.testing import CliRunner
 
 from figurate.cli import cli
-from figurate.seqio import parse_bfile
+from figurate.core import closed_form
+from figurate.seqio import emit_csv, parse_bfile
 from faults import perturb
 
 
@@ -74,6 +77,22 @@ class TestQuotients:
         )
         assert result.exit_code == 0
         assert result.output == "n,x\n1,4\n2,9/4\n"
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_output_matches_fraction_rendering(self, runner, m):
+        # The command prints integer pairs in lowest terms; the output must
+        # stay byte for byte what printing each quotient as a Fraction gives.
+        for count in (1, 2, 3, 17, 200):
+            values = [
+                Fraction(closed_form(m, n + 1), closed_form(m, n)) for n in range(1, count + 1)
+            ]
+            argv = ["quotients", "--m", str(m), "--count", str(count)]
+            plain = runner.invoke(cli, argv)
+            assert plain.exit_code == 0
+            assert plain.output == " ".join(str(value) for value in values) + "\n"
+            csv = runner.invoke(cli, [*argv, "--format", "csv"])
+            assert csv.exit_code == 0
+            assert csv.output == emit_csv({"n": list(range(1, count + 1)), "x": values})
 
     def test_bfile_is_refused(self, runner):
         result = runner.invoke(

@@ -4,6 +4,7 @@ Expected values were computed by summing the defining arithmetic
 progression by hand (or with the naive oracle below) and then frozen.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,21 @@ class TestRecurrenceCoefficients:
     def test_r_plus_t_is_one(self, m, n):
         # Both coefficients share a denominator and their sum telescopes to 1.
         assert coefficient_r(m, n) + coefficient_t(m, n) == 1
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_every_start_gives_the_closed_form_triples(self, m):
+        # The kernel advances (r, t, d) by additions, so its starting value
+        # must be right for every `first`, not only for the default n = 3.
+        def expected(n):
+            stretch = (n - 2) * (m - 2)
+            return m + 2 * stretch, -(m - 1 + stretch), 1 + stretch
+
+        for first in range(3, 61):
+            triples = itertools.islice(core._coefficients(m, first), 50)
+            assert list(triples) == [expected(n) for n in range(first, first + 50)]
+            r, t, d = expected(first)
+            assert coefficient_r(m, first) == Fraction(r, d)
+            assert coefficient_t(m, first) == Fraction(t, d)
 
     def test_rejects_index_below_three(self):
         with pytest.raises(ValueError):

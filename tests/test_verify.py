@@ -283,6 +283,28 @@ class TestFaultsThroughTheSeam:
             "cross-formula", 7, 40, "closed-form=3940 second-order=-2145316/191"
         )
 
+    @pytest.mark.parametrize(
+        "check, witness",
+        [("bounds", "x(39)=1 is not > 1"), ("monotonicity", "direct=1 recurrence=985/936")],
+    )
+    def test_the_direct_quotients_read_the_closed_form_through_core(
+        self, monkeypatch, check, witness
+    ):
+        # `_direct_quotients` pairs two copies of one `_closed_form_terms`
+        # stream, looked up on figurate.core, so a closed-form fault reaches
+        # the quotient checks: S(40) - gnomon(39) = S(39) makes x(39) = 1.
+        perturb(monkeypatch, "_closed_form_terms", (7, 40), lambda s: s - gnomon(7, 39))
+        report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=(check,)))
+        assert report.first_counterexample == Counterexample(check, 7, 39, witness)
+
+    @pytest.mark.parametrize("terms", [(), (1,)], ids=["empty", "one-term"])
+    def test_a_short_closed_form_stream_gives_no_quotient(self, monkeypatch, terms):
+        # `_direct_quotients` reads one term ahead when it is called; a bare
+        # StopIteration from that read must not escape the call.
+        monkeypatch.setattr(core, "_closed_form_terms", lambda m, first=1: iter(terms))
+        assert list(core._direct_quotients(7)) == []
+        assert core.quotient_direct(7, 3) == []
+
     # Every check reads indices up to n_max + 1 (x(n_max) = S(n_max + 1)/S(n_max)
     # and the coefficients at n_max + 1), so n_max + 2 is the first index outside.
     @pytest.mark.parametrize("at", [(9, 40), (7, 62)], ids=["m-above-m_to", "n-above-n_max"])
