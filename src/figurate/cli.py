@@ -24,7 +24,6 @@ from figurate.logbehavior import (
 from figurate.seqio import emit_bfile, emit_csv, parse_sequence_file
 from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, run_verify_sweep
 
-EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
@@ -152,13 +151,7 @@ def verify(m_from, m_to, n_max, checks, delta_offset, fmt):
         name.strip() for name in checks.split(",") if name.strip()
     )
     try:
-        config = VerifySweepConfig(
-            m_from=m_from,
-            m_to=m_to,
-            n_max=n_max,
-            checks=selected,
-            delta_offset=delta_offset,
-        )
+        config = VerifySweepConfig(m_from, m_to, n_max, selected, delta_offset)
     except ValueError as error:
         raise click.UsageError(str(error)) from None
 
@@ -170,29 +163,21 @@ def verify(m_from, m_to, n_max, checks, delta_offset, fmt):
 
 def _print_sweep_report(report: SweepReport, fmt: str) -> None:
     config = report.config
-    m_range = f"{config.m_from}..{config.m_to}"
-    rows = [
-        (summary.check, m_range, str(config.n_max), "pass" if summary.passed else "FAIL")
-        for summary in report.summaries
-    ]
+    rows = []  # (check, result, detail)
+    for summary in report.summaries:
+        c = summary.counterexample
+        detail = "" if c is None else f"m={c.m} n={c.n} {c.witness}"
+        rows.append((summary.check, "pass" if summary.passed else "FAIL", detail))
     if fmt == "csv":
         click.echo("check,m_from,m_to,n_max,result,detail")
-        for summary in report.summaries:
-            result = "pass" if summary.passed else "FAIL"
-            detail = ""
-            if summary.counterexample is not None:
-                c = summary.counterexample
-                detail = f"m={c.m} n={c.n} {c.witness}"
-            click.echo(
-                f"{summary.check},{config.m_from},{config.m_to},{config.n_max},{result},{detail}"
-            )
+        for check, result, detail in rows:
+            click.echo(f"{check},{config.m_from},{config.m_to},{config.n_max},{result},{detail}")
     else:
-        header = ("check", "m-range", "n-max", "result")
-        widths = [
-            max(len(row[column]) for row in [header, *rows])
-            for column in range(len(header))
-        ]
-        for row in [header, *rows]:
+        m_range, n_max = f"{config.m_from}..{config.m_to}", str(config.n_max)
+        table = [("check", "m-range", "n-max", "result")]
+        table += [(check, m_range, n_max, result) for check, result, _ in rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        for row in table:
             click.echo("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     for summary in report.summaries:
         for note in summary.notes:

@@ -172,6 +172,32 @@ def _recurrence_quotients(m: int) -> Iterator[tuple[int, int]]:
         yield p, q
 
 
+class _StreamEnded(InvariantViolation):
+    """A stream ended before index n of the window it was read over."""
+
+    def __init__(self, n: int):
+        super().__init__(f"stream ended before n={n}")
+        self.n = n
+
+
+def _window(first: int, last: int, *streams: Iterator) -> Iterator[tuple]:
+    """Rows (value of each stream, ..., n) for n = first..last; each stream starts at n = first.
+
+    A stream that cannot fill row n raises `_StreamEnded(n)` after the rows before it. No
+    stream is read past `last`: zip reads left to right, and the bounded first one ends it.
+    """
+    ns = iter(range(first, last + 1))  # read last, so an unfilled row takes no n from it
+    rows = zip(itertools.islice(streams[0], last - first + 1), *streams[1:], ns)
+    return itertools.chain(rows, _unfilled(ns))
+
+
+def _unfilled(ns: Iterator[int]) -> Iterator:
+    """Yields nothing; raises `_StreamEnded` at the first index left in ns."""
+    for n in ns:
+        raise _StreamEnded(n)
+    yield from ()
+
+
 def _compare(x: tuple[int, int], y: tuple[int, int]) -> int:
     """An int with the sign of x - y, for rationals given as pairs with positive denominators."""
     return x[0] * y[1] - y[0] * x[1]

@@ -222,12 +222,8 @@ class CriterionReport:
 
     @property
     def verdict(self) -> bool:
-        return (
-            self.r_nonneg.ok
-            and self.t_nonpos.ok
-            and self.seed_step_ok.ok
-            and self.delta_condition.ok
-        )
+        flags = (self.r_nonneg, self.t_nonpos, self.seed_step_ok, self.delta_condition)
+        return all(flag.ok for flag in flags)
 
 
 def classify_log_behavior(
@@ -400,16 +396,17 @@ def check_doslic_criterion(
         raise TypeError(f"delta_offset must be an int, got {type(delta_offset).__name__}")
     if delta_offset not in (1, 2):
         raise ValueError(f"delta_offset must be 1 or 2, got {delta_offset}")
-    coefficients = core._coefficients(m, n_start)
+    # read first, so that a short quotient stream names its earliest missing index
+    quotients = itertools.islice(core._direct_quotients(m), n_start - 1, None)
+    (seed, _), (following, _) = core._window(n_start, n_start + 1, quotients)
+    seed_ok = _compare(seed, following) >= 0
 
-    first_r: int | None = None
-    first_t: int | None = None
-    first_delta: int | None = None
-    window = range(n_start, n_end + 1)
-    # x(n - delta_offset) for each n in the window
+    first_r = first_t = first_delta = None  # the first n where each condition fails
+    coefficients = core._coefficients(m, n_start)
+    ((here, _),) = core._window(n_start, n_start, coefficients)
+    # the rest of the coefficients, from n + 1, and x(n - delta_offset), for each n
     lagged = itertools.islice(core._direct_quotients(m), n_start - delta_offset - 1, None)
-    here = next(coefficients)
-    for n, x, ahead in zip(window, lagged, coefficients):
+    for ahead, x, n in core._window(n_start, n_end, coefficients, lagged):
         if here[0] < 0 or here[1] > 0 or _doslic_delta(here, ahead, x) > 0:
             if here[0] < 0 and first_r is None:
                 first_r = n
@@ -418,9 +415,6 @@ def check_doslic_criterion(
             if _doslic_delta(here, ahead, x) > 0 and first_delta is None:
                 first_delta = n
         here = ahead
-
-    seed, following = itertools.islice(core._direct_quotients(m), n_start - 1, n_start + 1)
-    seed_ok = _compare(seed, following) >= 0
 
     return CriterionReport(
         window=(n_start, n_end),

@@ -13,11 +13,12 @@ exact counterexample, reported as (check, m, n, witness). The checks:
 
 Sweeps are pure and deterministic; checks run in the canonical order above,
 each over ascending m, and a check that has failed is not evaluated for
-later m. For each m a check makes one streaming pass over n = 1..n_max,
-zipping the integer route generators it needs from `figurate.core`, in O(1)
-memory per route. Rationals are integer pairs (numerator, positive
-denominator) compared by cross-multiplication; a `Fraction` is built only to
-render a witness or a note.
+later m. For each m a check makes one streaming pass over n = 1..n_max
+through `core._window`, in O(1) memory per route; a stream that ends before
+n_max is a counterexample, "stream ended before n=...", at the first index it
+could not fill. Rationals are integer pairs (numerator, positive denominator)
+compared by cross-multiplication; a `Fraction` is built only to render a
+witness or a note.
 
 The generators are looked up on `figurate.core` at each call, never imported
 by name, so replacing one there puts a fault into every check that reads it.
@@ -25,7 +26,6 @@ by name, so replacing one there puts a fault into every check that reads it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -134,22 +134,19 @@ _ROUTES = (
 )
 
 
-def _check_cross_formula(m, config):
+def _check_cross_formula(m, config, notes):
     """Reports the first route, in route order, that disagrees with the closed form."""
-    routes = [getattr(core, name)(m) for _, name in _ROUTES]
+    rows = core._window(1, config.n_max, *(getattr(core, name)(m) for _, name in _ROUTES))
     first = {}  # route position -> (n, witness) of its first disagreement
-    for n, terms in zip(range(1, config.n_max + 1), zip(*routes)):
-        anchor, alt, first_order, second_order, progression = terms
+    for anchor, alt, first_order, second_order, progression, n in rows:
         if anchor == alt == first_order == second_order == progression:
             continue
-        for position, value in enumerate(terms):
+        for position, value in enumerate((alt, first_order, second_order, progression), 1):
             if value != anchor and position not in first:
-                witness = f"{_ROUTES[0][0]}={anchor} {_ROUTES[position][0]}={value}"
-                first[position] = (n, witness)
-    if not first:
-        return None, []
-    n, witness = first[min(first)]
-    return Counterexample("cross-formula", m, n, witness), []
+                first[position] = (n, f"{_ROUTES[0][0]}={anchor} {_ROUTES[position][0]}={value}")
+    if first:
+        return Counterexample("cross-formula", m, *first[min(first)])
+    return None
 
 
 def _seed_quotients(m):
@@ -157,10 +154,10 @@ def _seed_quotients(m):
     return (m, 1), (3 * m - 3, m), (6 * m - 8, 3 * m - 3)
 
 
-def _check_bounds(m, config):
+def _check_bounds(m, config, notes):
     """1 < x(n) <= m and the seeds x(1..3); the smallest failing n, ties by witness text."""
     seeds = _seed_quotients(m)
-    for n, x in zip(range(1, config.n_max + 1), core._direct_quotients(m)):
+    for x, n in core._window(1, config.n_max, core._direct_quotients(m)):
         p, q = x
         if q < p <= m * q and n > 3:
             continue
@@ -177,69 +174,65 @@ def _check_bounds(m, config):
             violations.append(f"x({n})={value} exceeds m={m}")
         if off_seed:
             violations.append(f"x({n})={value} expected {Fraction(*seeds[n - 1])}")
-        return Counterexample("bounds", m, n, min(violations)), []
-    return None, []
+        return Counterexample("bounds", m, n, min(violations))
+    return None
 
 
-def _check_monotonicity(m, config):
+def _check_monotonicity(m, config, notes):
     """The two quotient routes agree on the whole window, then the quotients never increase.
 
-    A disagreement anywhere outranks an earlier increase. The order is read
-    from the reduced recurrence pairs, never from the margins, so the
-    quotient and margin routes to log-concavity stay independent.
+    A disagreement anywhere outranks an earlier increase and the ties noted at
+    this m. The order is read from the reduced recurrence pairs, never from the
+    margins, so the quotient and margin routes to log-concavity stay independent.
     """
     increase = None
-    notes = []
+    ties = []
     previous = None
-    rows = zip(
-        range(1, config.n_max + 1), core._direct_quotients(m), core._recurrence_quotients(m)
-    )
-    for n, direct, recurred in rows:
+    rows = core._window(1, config.n_max, core._direct_quotients(m), core._recurrence_quotients(m))
+    for direct, recurred, n in rows:
         (a, b), (p, q) = direct, recurred
         if a * q != p * b:
             witness = f"direct={Fraction(*direct)} recurrence={Fraction(*recurred)}"
-            return Counterexample("monotonicity", m, n, witness), []
+            return Counterexample("monotonicity", m, n, witness)
         if increase is None and previous is not None and p * previous[1] >= previous[0] * q:
             # x(n) >= x(n - 1): an increase, or a tie that is noted
             if _compare(recurred, previous) > 0:
                 witness = f"x({n - 1})={Fraction(*previous)} < x({n})={Fraction(*recurred)}"
                 increase = Counterexample("monotonicity", m, n, witness)
             else:
-                notes.append(f"equality x({n - 1}) = x({n}) = {Fraction(*recurred)} at m={m}")
+                ties.append(f"equality x({n - 1}) = x({n}) = {Fraction(*recurred)} at m={m}")
         previous = recurred
-    return increase, notes
+    notes.extend(ties)
+    return increase
 
 
-def _check_margins(m, config):
+def _check_margins(m, config, notes):
     """S(j)^2 - S(j-1) S(j+1) >= 0 for j = 2..n_max-1; zero margins are noted."""
-    notes = []
-    terms = itertools.islice(core._closed_form_terms(m), config.n_max)
-    older, old = next(terms), next(terms)
-    for j, term in enumerate(terms, start=2):
+    rows = core._window(1, config.n_max, core._closed_form_terms(m))
+    (older, _), (old, _) = next(rows), next(rows)  # n_max >= 3, and a short stream raises
+    for term, n in rows:
         margin = old * old - older * term
         if margin <= 0:
             if margin < 0:
-                return Counterexample("margins", m, j, f"margin={margin}"), notes
-            notes.append(f"zero margin at m={m} j={j}")
+                return Counterexample("margins", m, n - 1, f"margin={margin}")
+            notes.append(f"zero margin at m={m} j={n - 1}")
         older, old = old, term
-    return None, notes
+    return None
 
 
-def _check_doslic(m, config):
+def _check_doslic(m, config, notes):
     """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
     report = check_doslic_criterion(m, 3, config.n_max, config.delta_offset)
-    if report.verdict:
-        return None, []
-    if not report.r_nonneg.ok:
-        n, witness = report.r_nonneg.first_failure, "R(n) < 0"
-    elif not report.t_nonpos.ok:
-        n, witness = report.t_nonpos.first_failure, "T(n) > 0"
-    elif not report.seed_step_ok.ok:
-        n, witness = report.seed_step_ok.first_failure, "quotient increases at the window start"
-    else:
-        n = report.delta_condition.first_failure
-        witness = f"dR(n)x(n-{report.delta_offset}) + dT(n) > 0"
-    return Counterexample("doslic", m, n, witness), []
+    conditions = (
+        (report.r_nonneg, "R(n) < 0"),
+        (report.t_nonpos, "T(n) > 0"),
+        (report.seed_step_ok, "quotient increases at the window start"),
+        (report.delta_condition, f"dR(n)x(n-{report.delta_offset}) + dT(n) > 0"),
+    )
+    for flag, witness in conditions:
+        if not flag.ok:
+            return Counterexample("doslic", m, flag.first_failure, witness)
+    return None
 
 
 _CHECK_FUNCTIONS = {
@@ -254,7 +247,7 @@ _CHECK_FUNCTIONS = {
 def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
     """Run the configured checks over every m in the range.
 
-    Each check stops at its first counterexample.
+    Each check stops at its first counterexample; a stream that ends early is one.
     """
     if config is None:
         config = VerifySweepConfig()
@@ -264,8 +257,10 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
         counterexample = None
         notes: list[str] = []
         for m in range(config.m_from, config.m_to + 1):
-            counterexample, m_notes = function(m, config)
-            notes.extend(m_notes)
+            try:
+                counterexample = function(m, config, notes)
+            except core._StreamEnded as ended:
+                counterexample = Counterexample(check, m, ended.n, str(ended))
             if counterexample is not None:
                 break
         summaries.append(

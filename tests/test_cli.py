@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from figurate.cli import cli
 from figurate.core import closed_form
 from figurate.seqio import emit_csv, parse_bfile
-from faults import perturb
+from faults import perturb, truncate
 
 
 @pytest.fixture
@@ -228,6 +228,15 @@ class TestVerify:
         result = runner.invoke(cli, self.NARROW + ["--checks", "doslic"])
         assert result.exit_code == 1
         assert result.output.endswith("counterexample: check=doslic m=5 n=20 T(n) > 0\n")
+
+    def test_a_short_stream_is_a_counterexample(self, runner, monkeypatch):
+        truncate(monkeypatch, "_closed_form_terms", (5, 1))
+        result = runner.invoke(cli, self.NARROW)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.endswith(
+            "counterexample: check=cross-formula m=5 n=1 stream ended before n=1\n"
+        )
 
     def test_non_integer_second_order_step_is_reported(self, runner, monkeypatch):
         perturb(monkeypatch, "_coefficients", (5, 20), lambda c: (-c[0], c[1], c[2]))

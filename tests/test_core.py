@@ -285,6 +285,35 @@ class TestQuotients:
             quotient_recurrence(3, 0)
 
 
+def ending_with(values, error):
+    """A stream of `values` that raises `error` if it is read once more."""
+    yield from values
+    raise error
+
+
+class TestWindow:
+    def test_rows_carry_each_stream_and_n_and_read_no_stream_past_last(self):
+        streams = [ending_with((10, 11, 12), AssertionError(position)) for position in range(3)]
+        assert list(core._window(5, 7, *streams)) == [
+            (10, 10, 10, 5),
+            (11, 11, 11, 6),
+            (12, 12, 12, 7),
+        ]
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("length", range(3))
+    def test_a_short_stream_ends_the_rows_at_its_first_unfilled_index(self, position, length):
+        streams = [iter("abc"), iter("def"), iter("ghi")]
+        streams[position] = iter("xyz"[:length])
+        rows = core._window(5, 7, *streams)
+        for n in range(5, 5 + length):
+            assert next(rows)[-1] == n
+        with pytest.raises(core._StreamEnded, match=f"^stream ended before n={5 + length}$") as ended:
+            next(rows)
+        assert ended.value.n == 5 + length
+        assert isinstance(ended.value, InvariantViolation)
+
+
 class TestExactHalving:
     @settings(max_examples=300)
     @given(m=orders, n=indices)

@@ -27,7 +27,7 @@ from figurate.verify import (
     _seed_quotients,
     run_verify_sweep,
 )
-from faults import perturb
+from faults import perturb, truncate
 from fraction_sweep import run_fraction_sweep
 
 
@@ -116,6 +116,14 @@ class TestSweep:
         assert counterexample.witness
         assert report.first_counterexample is counterexample
 
+    def test_first_counterexample_skips_passing_checks(self, monkeypatch):
+        # only monotonicity reads the recurrence quotients
+        perturb(monkeypatch, "_recurrence_quotients", (5, 10), lambda x: (x[0] + 1, x[1]))
+        report = run_verify_sweep(VerifySweepConfig(m_to=8, n_max=60))
+        assert [s.passed for s in report.summaries] == [True, True, False, True, True]
+        assert report.first_counterexample is report.summary_for("monotonicity").counterexample
+        assert (report.first_counterexample.m, report.first_counterexample.n) == (5, 10)
+
     def test_corruption_outside_window_is_invisible(self, monkeypatch):
         perturb(monkeypatch, "_first_order_terms", (9, 3), lambda term: term + 1)
         report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
@@ -133,8 +141,18 @@ def fixed(values):
     return lambda m: iter(values)
 
 
+def run_check(check, m, config):
+    """A `_check_*` function's counterexample at m and the notes it appended."""
+    notes = []
+    return check(m, config, notes), notes
+
+
 class TestCheckFunctions:
-    """Failure order, witnesses and notes on crafted streams that real terms never produce."""
+    """Failure order, witnesses and notes on crafted streams that real terms never produce.
+
+    Each n_max is at most the length of the crafted streams: a stream that ends
+    before n_max is a counterexample of its own.
+    """
 
     def test_cross_formula_reports_the_first_route_in_route_order(self, monkeypatch):
         # second-order disagrees first (n = 2), but alt-form comes first in route
@@ -148,7 +166,7 @@ class TestCheckFunctions:
         ]
         for (_, name), column in zip(verify._ROUTES, zip(*terms)):
             monkeypatch.setattr(core, name, fixed(column))
-        assert verify._check_cross_formula(3, VerifySweepConfig(n_max=10)) == (
+        assert run_check(verify._check_cross_formula, 3, VerifySweepConfig(n_max=5)) == (
             Counterexample("cross-formula", 3, 4, "closed-form=10 alt-form=9"),
             [],
         )
@@ -163,7 +181,7 @@ class TestCheckFunctions:
     )
     def test_bounds(self, monkeypatch, direct, expected):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        assert verify._check_bounds(5, VerifySweepConfig(n_max=10)) == (
+        assert run_check(verify._check_bounds, 5, VerifySweepConfig(n_max=10)) == (
             Counterexample("bounds", 5, *expected),
             [],
         )
@@ -173,8 +191,7 @@ class TestCheckFunctions:
         recurred = [(4, 1), (9, 4), (9, 4), (2, 1), (3, 1)]
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
         monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred))
-        config = VerifySweepConfig(n_max=10)
-        assert verify._check_monotonicity(4, config) == (
+        assert run_check(verify._check_monotonicity, 4, VerifySweepConfig(n_max=5)) == (
             Counterexample("monotonicity", 4, 5, "x(4)=2 < x(5)=3"),
             ["equality x(2) = x(3) = 9/4 at m=4"],
         )
@@ -187,14 +204,14 @@ class TestCheckFunctions:
         for x, y, witness in mismatches:
             monkeypatch.setattr(core, "_direct_quotients", fixed(direct + [x]))
             monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred + [y]))
-            assert verify._check_monotonicity(4, config) == (
+            assert run_check(verify._check_monotonicity, 4, VerifySweepConfig(n_max=6)) == (
                 Counterexample("monotonicity", 4, 6, witness),
                 [],
             )
 
     def test_margins(self, monkeypatch):
         monkeypatch.setattr(core, "_closed_form_terms", fixed([1, 2, 4, 7, 20, 21]))
-        assert verify._check_margins(3, VerifySweepConfig(n_max=10)) == (
+        assert run_check(verify._check_margins, 3, VerifySweepConfig(n_max=10)) == (
             Counterexample("margins", 3, 4, "margin=-31"),
             ["zero margin at m=3 j=2"],
         )
@@ -204,7 +221,7 @@ class TestCheckFunctions:
         direct = [(3, 1), (1, 2), (10, 6), (15, 10), (21, 15)]  # only x(2) < 1
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
         config = VerifySweepConfig(n_max=5, delta_offset=lag)
-        assert verify._check_doslic(3, config) == (
+        assert run_check(verify._check_doslic, 3, config) == (
             Counterexample("doslic", 3, n, f"dR(n)x(n-{lag}) + dT(n) > 0"),
             [],
         )
@@ -257,6 +274,29 @@ SEAM_IDS = [
     "doslic-R",
     "doslic-T",
 ]
+
+
+# core stream -> {check that reads it: the first window index that check cannot fill
+# when the stream at m = 7 yields no value, one value, or ends before its index 40}.
+# The direct quotients read the closed form, and the second-order route and the
+# recurrence quotients read the coefficients, which start at n = 3; the Doslic
+# check reads its seed step x(3), x(4) first, then x(n - 2) for n = 3..n_max.
+TRUNCATIONS = {
+    "_closed_form_terms": {
+        "cross-formula": (1, 2, 40),
+        "bounds": (1, 1, 39),
+        "monotonicity": (1, 1, 39),
+        "margins": (1, 2, 40),
+        "doslic": (3, 3, 41),
+    },
+    "_alt_form_terms": {"cross-formula": (1, 2, 40)},
+    "_first_order_terms": {"cross-formula": (1, 2, 40)},
+    "_second_order_terms": {"cross-formula": (1, 2, 40)},
+    "_progression_terms": {"cross-formula": (1, 2, 40)},
+    "_direct_quotients": {"bounds": (1, 2, 40), "monotonicity": (1, 2, 40), "doslic": (3, 3, 42)},
+    "_recurrence_quotients": {"monotonicity": (1, 2, 40)},
+    "_coefficients": {"cross-formula": (3, 4, 40), "monotonicity": (2, 3, 39), "doslic": (3, 3, 39)},
+}
 
 
 class TestFaultsThroughTheSeam:
@@ -314,6 +354,34 @@ class TestFaultsThroughTheSeam:
     ):
         perturb(monkeypatch, name, at, change)
         assert run_verify_sweep(VerifySweepConfig(**self.CONFIG)).passed
+
+    @pytest.mark.parametrize("cut", [0, 1, 2], ids=["no-value", "one-value", "before-40"])
+    @pytest.mark.parametrize("name", TRUNCATIONS)
+    def test_every_reader_names_the_first_index_it_could_not_fill(self, monkeypatch, name, cut):
+        start = 3 if name == "_coefficients" else 1
+        truncate(monkeypatch, name, (7, (start, start + 1, 40)[cut]))
+        report = run_verify_sweep(VerifySweepConfig(**self.CONFIG))
+        for summary in report.summaries:
+            if summary.check in TRUNCATIONS[name]:
+                n = TRUNCATIONS[name][summary.check][cut]
+                expected = Counterexample(summary.check, 7, n, f"stream ended before n={n}")
+                assert summary.counterexample == expected
+            else:
+                assert summary.passed
+
+    # Every check reads indices up to n_max + 1, as above.
+    @pytest.mark.parametrize("name", TRUNCATIONS)
+    def test_a_stream_that_ends_after_the_window_passes(self, monkeypatch, name):
+        truncate(monkeypatch, name, (7, 62))
+        assert run_verify_sweep(VerifySweepConfig(**self.CONFIG)).passed
+
+    @pytest.mark.parametrize("lag, n", [(1, 41), (2, 42)])
+    def test_the_doslic_index_follows_the_lag(self, monkeypatch, lag, n):
+        truncate(monkeypatch, "_direct_quotients", (7, 40))
+        config = VerifySweepConfig(**self.CONFIG, checks=("doslic",), delta_offset=lag)
+        assert run_verify_sweep(config).first_counterexample == Counterexample(
+            "doslic", 7, n, f"stream ended before n={n}"
+        )
 
 
 @st.composite
