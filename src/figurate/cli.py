@@ -9,7 +9,6 @@ exact (integers or "p/q" rationals, never decimals).
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 
 import click
@@ -70,7 +69,7 @@ def quotients(m: int, count: int, fmt: str):
     if fmt == "bfile":
         raise click.UsageError("b-file records hold integers; quotients are rationals")
     values = [
-        _lowest_terms(p, q) for p, q in itertools.islice(core._direct_quotients(m), count)
+        core._ratio_text(p, q) for p, q in itertools.islice(core._direct_quotients(m), count)
     ]
     if fmt == "plain":
         click.echo(" ".join(values))
@@ -78,13 +77,6 @@ def quotients(m: int, count: int, fmt: str):
         # the CSV that emit_csv writes for these values as Fractions
         rows = "".join(f"{n},{value}\n" for n, value in enumerate(values, start=1))
         click.echo(f"n,x\n{rows}", nl=False)
-
-
-def _lowest_terms(p: int, q: int) -> str:
-    """p/q with q > 0 as `str(Fraction(p, q))` renders it, without building the Fraction."""
-    common = math.gcd(p, q)
-    p, q = p // common, q // common
-    return str(p) if q == 1 else f"{p}/{q}"
 
 
 @cli.command()

@@ -165,7 +165,7 @@ def _recurrence_quotients(m: int) -> Iterator[tuple[int, int]]:
     for r, t, d in _coefficients(m):
         if p <= 0:
             # unreachable: every quotient exceeds 1; guarded anyway
-            raise InvariantViolation(f"non-positive quotient {p}/{q} at m={m}")
+            raise InvariantViolation(f"non-positive quotient {_ratio_text(p, q)} at m={m}")
         numerator, denominator = r * p + t * q, d * p
         common = math.gcd(numerator, denominator)
         p, q = numerator // common, denominator // common
@@ -201,6 +201,15 @@ def _unfilled(ns: Iterator[int]) -> Iterator:
 def _compare(x: tuple[int, int], y: tuple[int, int]) -> int:
     """An int with the sign of x - y, for rationals given as pairs with positive denominators."""
     return x[0] * y[1] - y[0] * x[1]
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q as `str(Fraction(p, q))` renders it, without building the Fraction; p/0 as is."""
+    if not q:
+        return f"{p}/0"
+    common = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    p, q = p // common, q // common
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _doslic_delta(

@@ -95,7 +95,7 @@ class PositiveSequence(Sequence):
         for position, (numerator, denominator) in enumerate(pairs, start=1):
             if numerator <= 0:
                 raise ValueError(
-                    f"term {position} is not positive: {Fraction(numerator, denominator)}"
+                    f"term {position} is not positive: {core._ratio_text(numerator, denominator)}"
                 )
             numerators.append(numerator)
             denominators.append(denominator)
@@ -383,8 +383,8 @@ def check_doslic_criterion(
     literature; delta_offset in {1, 2} selects whether dR(n) multiplies the
     immediately preceding quotient or the one before it.
 
-    Every condition is decided on integers: R(n) and T(n) come as the triple
-    (r, t, d) with R(n) = r/d, T(n) = t/d and d > 0.
+    Every condition is decided on integers: R(n) = r/d and T(n) = t/d with
+    d > 0, and a quotient pair whose denominator is <= 0 fails its condition.
     """
     _check_polygon_order(m)
     _check_index(n_start, minimum=3, what="window start")
@@ -399,7 +399,7 @@ def check_doslic_criterion(
     # read first, so that a short quotient stream names its earliest missing index
     quotients = itertools.islice(core._direct_quotients(m), n_start - 1, None)
     (seed, _), (following, _) = core._window(n_start, n_start + 1, quotients)
-    seed_ok = _compare(seed, following) >= 0
+    seed_ok = min(seed[1], following[1]) > 0 and _compare(seed, following) >= 0
 
     first_r = first_t = first_delta = None  # the first n where each condition fails
     coefficients = core._coefficients(m, n_start)
@@ -407,12 +407,12 @@ def check_doslic_criterion(
     # the rest of the coefficients, from n + 1, and x(n - delta_offset), for each n
     lagged = itertools.islice(core._direct_quotients(m), n_start - delta_offset - 1, None)
     for ahead, x, n in core._window(n_start, n_end, coefficients, lagged):
-        if here[0] < 0 or here[1] > 0 or _doslic_delta(here, ahead, x) > 0:
+        if here[0] < 0 or here[1] > 0 or x[1] <= 0 or _doslic_delta(here, ahead, x) > 0:
             if here[0] < 0 and first_r is None:
                 first_r = n
             if here[1] > 0 and first_t is None:
                 first_t = n
-            if _doslic_delta(here, ahead, x) > 0 and first_delta is None:
+            if (x[1] <= 0 or _doslic_delta(here, ahead, x) > 0) and first_delta is None:
                 first_delta = n
         here = ahead
 

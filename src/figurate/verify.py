@@ -16,9 +16,9 @@ each over ascending m, and a check that has failed is not evaluated for
 later m. For each m a check makes one streaming pass over n = 1..n_max
 through `core._window`, in O(1) memory per route; a stream that ends before
 n_max is a counterexample, "stream ended before n=...", at the first index it
-could not fill. Rationals are integer pairs (numerator, positive denominator)
-compared by cross-multiplication; a `Fraction` is built only to render a
-witness or a note.
+could not fill. Rationals are integer pairs compared by cross-multiplication
+and rendered by `core._ratio_text`, never as a `Fraction`; a zero or negative
+S(n) is a counterexample of each check whose condition it breaks.
 
 The generators are looked up on `figurate.core` at each call, never imported
 by name, so replacing one there puts a fault into every check that reads it.
@@ -26,11 +26,11 @@ by name, so replacing one there puts a fault into every check that reads it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from figurate import core
-from figurate.core import _compare, _is_int
+from figurate.core import _compare, _is_int, _ratio_text
 from figurate.logbehavior import check_doslic_criterion
 
 __all__ = [
@@ -60,9 +60,10 @@ class VerifySweepConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if isinstance(self.checks, str):
+        if isinstance(self.checks, str) or not isinstance(self.checks, Iterable):
             raise TypeError(
-                f"checks must be a sequence of check names, not the string {self.checks!r}"
+                "checks must be a sequence of check names,"
+                f" not the {type(self.checks).__name__} {self.checks!r}"
             )
         if self.m_from < 3:
             raise ValueError(f"m_from must be >= 3, got {self.m_from}")
@@ -155,26 +156,22 @@ def _seed_quotients(m):
 
 
 def _check_bounds(m, config, notes):
-    """1 < x(n) <= m and the seeds x(1..3); the smallest failing n, ties by witness text."""
+    """1 < x(n) <= m and the seeds x(1..3); at the first failing n: above m, off seed, not > 1."""
     seeds = _seed_quotients(m)
     for x, n in core._window(1, config.n_max, core._direct_quotients(m)):
         p, q = x
         if q < p <= m * q and n > 3:
             continue
-        low = p <= q
-        high = p > m * q
-        off_seed = n <= 3 and _compare(x, seeds[n - 1]) != 0
-        if not (low or high or off_seed):
+        value = _ratio_text(p, q)
+        if p > m * q:
+            witness = f"x({n})={value} exceeds m={m}"
+        elif n <= 3 and _compare(x, seeds[n - 1]) != 0:
+            witness = f"x({n})={value} expected {_ratio_text(*seeds[n - 1])}"
+        elif p <= q:
+            witness = f"x({n})={value} is not > 1"
+        else:
             continue
-        value = Fraction(p, q)
-        violations = []
-        if low:
-            violations.append(f"x({n})={value} is not > 1")
-        if high:
-            violations.append(f"x({n})={value} exceeds m={m}")
-        if off_seed:
-            violations.append(f"x({n})={value} expected {Fraction(*seeds[n - 1])}")
-        return Counterexample("bounds", m, n, min(violations))
+        return Counterexample("bounds", m, n, witness)
     return None
 
 
@@ -192,15 +189,15 @@ def _check_monotonicity(m, config, notes):
     for direct, recurred, n in rows:
         (a, b), (p, q) = direct, recurred
         if a * q != p * b:
-            witness = f"direct={Fraction(*direct)} recurrence={Fraction(*recurred)}"
+            witness = f"direct={_ratio_text(*direct)} recurrence={_ratio_text(*recurred)}"
             return Counterexample("monotonicity", m, n, witness)
         if increase is None and previous is not None and p * previous[1] >= previous[0] * q:
             # x(n) >= x(n - 1): an increase, or a tie that is noted
             if _compare(recurred, previous) > 0:
-                witness = f"x({n - 1})={Fraction(*previous)} < x({n})={Fraction(*recurred)}"
+                witness = f"x({n - 1})={_ratio_text(*previous)} < x({n})={_ratio_text(*recurred)}"
                 increase = Counterexample("monotonicity", m, n, witness)
             else:
-                ties.append(f"equality x({n - 1}) = x({n}) = {Fraction(*recurred)} at m={m}")
+                ties.append(f"equality x({n - 1}) = x({n}) = {_ratio_text(*recurred)} at m={m}")
         previous = recurred
     notes.extend(ties)
     return increase
@@ -251,6 +248,8 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
     """
     if config is None:
         config = VerifySweepConfig()
+    if not isinstance(config, VerifySweepConfig):
+        raise TypeError(f"config must be a VerifySweepConfig or None, got {type(config).__name__}")
     summaries = []
     for check in config.checks:
         function = _CHECK_FUNCTIONS[check]

@@ -238,6 +238,17 @@ class TestVerify:
             "counterexample: check=cross-formula m=5 n=1 stream ended before n=1\n"
         )
 
+    def test_a_zero_term_is_a_counterexample(self, runner, monkeypatch):
+        # x(1) = S(2)/S(1) = 4/0 is rendered, never divided
+        perturb(monkeypatch, "_closed_form_terms", (4, 1), lambda term: 0)
+        arguments = ["verify", "--m-to", "8", "--n-max", "60", "--checks", "bounds"]
+        result = runner.invoke(cli, arguments)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.endswith(
+            "counterexample: check=bounds m=4 n=1 x(1)=4/0 exceeds m=4\n"
+        )
+
     def test_non_integer_second_order_step_is_reported(self, runner, monkeypatch):
         perturb(monkeypatch, "_coefficients", (5, 20), lambda c: (-c[0], c[1], c[2]))
         result = runner.invoke(cli, self.NARROW)

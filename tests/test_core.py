@@ -314,6 +314,23 @@ class TestWindow:
         assert isinstance(ended.value, InvariantViolation)
 
 
+# any int, or one of up to 1000 digits either side of zero
+big_integers = st.integers() | st.integers(-(10**1000), 10**1000)
+
+
+class TestRatioText:
+    @settings(max_examples=300)
+    @given(p=big_integers, q=big_integers.filter(bool), common=big_integers.filter(bool))
+    def test_renders_as_a_fraction_does(self, p, q, common):
+        # a shared factor, so that reducing the pair matters
+        assert core._ratio_text(p * common, q * common) == str(Fraction(p * common, q * common))
+        assert core._ratio_text(p, q) == str(Fraction(p, q))
+
+    @given(p=big_integers)
+    def test_a_zero_denominator_is_rendered_as_is(self, p):
+        assert core._ratio_text(p, 0) == f"{p}/0"
+
+
 class TestExactHalving:
     @settings(max_examples=300)
     @given(m=orders, n=indices)

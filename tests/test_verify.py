@@ -74,6 +74,8 @@ class TestConfig:
             ("m_from", True),
             ("n_max", "60"),
             ("checks", "margins"),
+            ("checks", None),
+            ("checks", 3),
         ],
     )
     def test_rejects_wrong_types_naming_the_field(self, name, value):
@@ -91,6 +93,11 @@ class TestSweep:
             assert summary.passed
             assert summary.counterexample is None
             assert summary.notes == ()
+
+    @pytest.mark.parametrize("config", [{"m_to": 4}, "bounds", VerifySweepConfig])
+    def test_rejects_anything_but_a_config_or_none_naming_its_type(self, config):
+        with pytest.raises(TypeError, match=f"got {type(config).__name__}$"):
+            run_verify_sweep(config)
 
     def test_summary_lookup(self):
         report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
@@ -175,8 +182,10 @@ class TestCheckFunctions:
         "direct, expected",
         [
             ([(5, 1), (12, 5), (22, 12), (22, 22)], (4, "x(4)=1 is not > 1")),
-            ([(6, 1)], (1, "x(1)=6 exceeds m=5")),  # also off its seed; ties go by text
+            # above m comes before off its seed, and off its seed before not > 1
+            ([(6, 1)], (1, "x(1)=6 exceeds m=5")),
             ([(5, 1), (12, 5), (23, 12)], (3, "x(3)=23/12 expected 11/6")),
+            ([(5, 1), (5, 5)], (2, "x(2)=1 expected 12/5")),
         ],
     )
     def test_bounds(self, monkeypatch, direct, expected):
@@ -299,6 +308,92 @@ TRUNCATIONS = {
 }
 
 
+# A zero or negative value put into a core stream at (m, n): each check that it
+# breaks names the index at which it reads it; every other check passes.
+# (stream, (m, n), change, {check: (n, witness)}, the doslic n at lags 1 and 2)
+# A margin is defined for any integers: S(n) = 0 breaks the margin after it,
+# -S(n) none, and a zero S(1) leaves the first margin S(2)^2 > 0.
+NON_POSITIVE = [
+    (
+        "_closed_form_terms",
+        (4, 1),
+        lambda s: 0,
+        {
+            "cross-formula": (1, "closed-form=0 alt-form=1"),
+            "bounds": (1, "x(1)=4/0 exceeds m=4"),
+            "monotonicity": (1, "direct=4/0 recurrence=4"),
+        },
+        (None, 3),  # at lag 1 the delta condition never reads x(1)
+    ),
+    (
+        "_closed_form_terms",
+        (7, 5),
+        lambda s: 0,
+        {
+            "cross-formula": (5, "closed-form=0 alt-form=55"),
+            "bounds": (4, "x(4)=0 is not > 1"),
+            "monotonicity": (4, "direct=0 recurrence=55/34"),
+            "margins": (5, "margin=-2754"),
+        },
+        (5, 6),
+    ),
+    (
+        "_closed_form_terms",
+        (7, 5),
+        lambda s: -s,
+        {
+            "cross-formula": (5, "closed-form=-55 alt-form=55"),
+            "bounds": (4, "x(4)=-55/34 is not > 1"),
+            "monotonicity": (4, "direct=-55/34 recurrence=55/34"),
+        },
+        (5, 6),
+    ),
+    (
+        "_direct_quotients",
+        (7, 5),
+        lambda x: (x[0], 0),
+        {
+            "bounds": (5, "x(5)=81/0 exceeds m=7"),
+            "monotonicity": (5, "direct=81/0 recurrence=81/55"),
+        },
+        (6, 7),
+    ),
+    (
+        "_direct_quotients",
+        (7, 5),
+        lambda x: (x[0], -x[1]),
+        {
+            "bounds": (5, "x(5)=-81/55 exceeds m=7"),
+            "monotonicity": (5, "direct=-81/55 recurrence=81/55"),
+        },
+        (6, 7),
+    ),
+    (
+        "_recurrence_quotients",
+        (7, 5),
+        lambda x: (x[0], 0),
+        {"monotonicity": (5, "direct=81/55 recurrence=81/0")},
+        (None, None),
+    ),
+    (
+        "_recurrence_quotients",
+        (7, 5),
+        lambda x: (x[0], -x[1]),
+        {"monotonicity": (5, "direct=81/55 recurrence=-81/55")},
+        (None, None),
+    ),
+]
+NON_POSITIVE_IDS = [
+    "zero-S(1)",
+    "zero-S(5)",
+    "negative-S(5)",
+    "direct-over-0",
+    "direct-over-negative",
+    "recurrence-over-0",
+    "recurrence-over-negative",
+]
+
+
 class TestFaultsThroughTheSeam:
     """Each check fails on a fault put into a `figurate.core` generator, naming its (m, n)."""
 
@@ -374,6 +469,44 @@ class TestFaultsThroughTheSeam:
     def test_a_stream_that_ends_after_the_window_passes(self, monkeypatch, name):
         truncate(monkeypatch, name, (7, 62))
         assert run_verify_sweep(VerifySweepConfig(**self.CONFIG)).passed
+
+    @pytest.mark.parametrize(
+        "checks", [(check,) for check in CHECK_NAMES] + [CHECK_NAMES], ids=[*CHECK_NAMES, "all"]
+    )
+    @pytest.mark.parametrize("lag", [1, 2])
+    @pytest.mark.parametrize(
+        "name, at, change, expected, doslic", NON_POSITIVE, ids=NON_POSITIVE_IDS
+    )
+    def test_a_non_positive_value_is_a_counterexample(
+        self, monkeypatch, name, at, change, expected, doslic, lag, checks
+    ):
+        perturb(monkeypatch, name, at, change)
+        expected = dict(expected)
+        if doslic[lag - 1] is not None:
+            expected["doslic"] = (doslic[lag - 1], f"dR(n)x(n-{lag}) + dT(n) > 0")
+        config = VerifySweepConfig(**self.CONFIG, checks=checks, delta_offset=lag)
+        report = run_verify_sweep(config)
+        assert [summary.check for summary in report.summaries] == list(checks)
+        for summary in report.summaries:
+            if summary.check in expected:
+                n, witness = expected[summary.check]
+                assert summary.counterexample == Counterexample(summary.check, at[0], n, witness)
+            else:
+                assert summary.passed
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    @pytest.mark.parametrize(
+        "change", [lambda x: (x[0], 0), lambda x: (x[0], -x[1])], ids=["over-0", "over-negative"]
+    )
+    def test_a_seed_quotient_with_a_non_positive_denominator_fails_the_seed_step(
+        self, monkeypatch, change, lag
+    ):
+        # x(3) = p/0 or -p/q would compare as x(3) >= x(4) by cross-multiplying
+        perturb(monkeypatch, "_direct_quotients", (7, 3), change)
+        config = VerifySweepConfig(**self.CONFIG, checks=("doslic",), delta_offset=lag)
+        assert run_verify_sweep(config).first_counterexample == Counterexample(
+            "doslic", 7, 3, "quotient increases at the window start"
+        )
 
     @pytest.mark.parametrize("lag, n", [(1, 41), (2, 42)])
     def test_the_doslic_index_follows_the_lag(self, monkeypatch, lag, n):
