@@ -21,7 +21,7 @@ from figurate.logbehavior import (
     quotient_monotonicity,
 )
 from figurate.seqio import emit_bfile, emit_csv, parse_sequence_file
-from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, run_verify_sweep
+from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, _run_forked
 
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -147,7 +147,7 @@ def verify(m_from, m_to, n_max, checks, delta_offset, fmt):
     except ValueError as error:
         raise click.UsageError(str(error)) from None
 
-    report = run_verify_sweep(config)
+    report = _run_forked(config)
     _print_sweep_report(report, fmt)
     if not report.passed:
         sys.exit(EXIT_VIOLATION)

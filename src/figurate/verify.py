@@ -22,12 +22,18 @@ S(n) is a counterexample of each check whose condition it breaks.
 
 The generators are looked up on `figurate.core` at each call, never imported
 by name, so replacing one there puts a fault into every check that reads it.
+
+`run_verify_sweep` runs in the calling process. Where `os.fork` exists, the
+`figurate verify` command runs the checks in two processes instead, with the
+same output (`_run_forked`).
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 from figurate import core
 from figurate.core import _compare, _is_int, _ratio_text
@@ -156,14 +162,20 @@ def _seed_quotients(m):
 
 
 def _check_bounds(m, config, notes):
-    """1 < x(n) <= m and the seeds x(1..3); at the first failing n: above m, off seed, not > 1."""
+    """1 < x(n) <= m and the seeds x(1..3).
+
+    At the first failing n the witness is, in this order: S(n) < 0, above m,
+    off its seed, not > 1. The comparisons after the first assume S(n) >= 0.
+    """
     seeds = _seed_quotients(m)
     for x, n in core._window(1, config.n_max, core._direct_quotients(m)):
         p, q = x
         if q < p <= m * q and n > 3:
             continue
         value = _ratio_text(p, q)
-        if p > m * q:
+        if q < 0:
+            witness = f"x({n})={p}/{q} has S({n})={q} < 0"
+        elif p > m * q:
             witness = f"x({n})={value} exceeds m={m}"
         elif n <= 3 and _compare(x, seeds[n - 1]) != 0:
             witness = f"x({n})={value} expected {_ratio_text(*seeds[n - 1])}"
@@ -266,3 +278,66 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
             CheckSummary(check, counterexample is None, counterexample, tuple(notes))
         )
     return SweepReport(config, tuple(summaries))
+
+
+# Checks that `_run_forked` runs in the child; the others run in the parent.
+# The two lanes take about the same time on the default window.
+_CHILD_LANE = ("bounds", "monotonicity", "margins")
+
+
+def _run_forked(config: VerifySweepConfig) -> SweepReport:
+    """`run_verify_sweep(config)`, with the checks of `_CHILD_LANE` run in a forked child.
+
+    Checks are independent, so the report is the serial one. The child sends
+    its summaries back through a pipe as marshalled tuples. If it ends without
+    a complete result, the parent runs the child's checks itself; if the
+    parent's own checks raise, it runs the serial sweep, so every exception
+    is the one a serial run raises. The child is always reaped.
+    """
+    lanes = (
+        tuple(check for check in config.checks if check not in _CHILD_LANE),
+        tuple(check for check in config.checks if check in _CHILD_LANE),
+    )
+    if not all(lanes) or not hasattr(os, "fork"):
+        return run_verify_sweep(config)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            summaries = run_verify_sweep(replace(config, checks=lanes[1])).summaries
+            with open(write_end, "wb") as pipe:
+                marshal.dump(tuple(map(astuple, summaries)), pipe)
+            status = 0
+        finally:
+            # never return into the caller's stack, flush its buffers or run its atexit hooks
+            os._exit(status)
+    os.close(write_end)
+    data = None
+    try:
+        with open(read_end, "rb") as pipe:
+            own = run_verify_sweep(replace(config, checks=lanes[0])).summaries
+            data = pipe.read()
+    except Exception:
+        pass  # data stays None
+    finally:
+        if data is None:
+            import signal  # here, not at the top: it takes ~1.5 ms to import
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if data is None:
+        # a serial run raises the exception of the first check that raises one
+        return run_verify_sweep(config)
+    try:
+        rows = marshal.loads(data)
+    except (EOFError, ValueError):  # the child ended before it wrote all its summaries
+        child = run_verify_sweep(replace(config, checks=lanes[1])).summaries
+    else:
+        child = tuple(
+            CheckSummary(check, passed, None if found is None else Counterexample(*found), notes)
+            for check, passed, found, notes in rows
+        )
+    by_check = {summary.check: summary for summary in own + child}
+    return SweepReport(config, tuple(by_check[check] for check in config.checks))

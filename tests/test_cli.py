@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import os
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from figurate import verify
 from figurate.cli import cli
 from figurate.core import closed_form
 from figurate.seqio import emit_csv, parse_bfile
@@ -248,6 +250,19 @@ class TestVerify:
         assert result.output.endswith(
             "counterexample: check=bounds m=4 n=1 x(1)=4/0 exceeds m=4\n"
         )
+
+    def test_margins_runs_in_a_forked_child(self, runner, monkeypatch):
+        parent = os.getpid()
+
+        def stand_in(m, config, notes):
+            if os.getpid() == parent:
+                return None
+            return verify.Counterexample("margins", m, 1, "in a child")
+
+        monkeypatch.setitem(verify._CHECK_FUNCTIONS, "margins", stand_in)
+        result = runner.invoke(cli, self.NARROW)
+        assert result.exit_code == 1
+        assert result.output.endswith("counterexample: check=margins m=3 n=1 in a child\n")
 
     def test_non_integer_second_order_step_is_reported(self, runner, monkeypatch):
         perturb(monkeypatch, "_coefficients", (5, 20), lambda c: (-c[0], c[1], c[2]))

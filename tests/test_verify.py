@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,7 +184,9 @@ class TestCheckFunctions:
         "direct, expected",
         [
             ([(5, 1), (12, 5), (22, 12), (22, 22)], (4, "x(4)=1 is not > 1")),
-            # above m comes before off its seed, and off its seed before not > 1
+            # S(n) < 0 comes before above m, above m before off its seed, and off
+            # its seed before not > 1
+            ([(6, -1)], (1, "x(1)=6/-1 has S(1)=-1 < 0")),
             ([(6, 1)], (1, "x(1)=6 exceeds m=5")),
             ([(5, 1), (12, 5), (23, 12)], (3, "x(3)=23/12 expected 11/6")),
             ([(5, 1), (5, 5)], (2, "x(2)=1 expected 12/5")),
@@ -363,7 +367,7 @@ NON_POSITIVE = [
         (7, 5),
         lambda x: (x[0], -x[1]),
         {
-            "bounds": (5, "x(5)=-81/55 exceeds m=7"),
+            "bounds": (5, "x(5)=81/-55 has S(5)=-55 < 0"),
             "monotonicity": (5, "direct=-81/55 recurrence=81/55"),
         },
         (6, 7),
@@ -508,6 +512,15 @@ class TestFaultsThroughTheSeam:
             "doslic", 7, 3, "quotient increases at the window start"
         )
 
+    def test_a_quotient_of_two_negative_terms_is_named_by_its_negative_s(self, monkeypatch):
+        # x(1) = -4/-1 = 4 = m is in bounds and on its seed; only S(1) = -1 < 0 is wrong
+        for n in (1, 2):
+            perturb(monkeypatch, "_closed_form_terms", (4, n), lambda s: -s)
+        report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=("bounds",)))
+        assert report.first_counterexample == Counterexample(
+            "bounds", 4, 1, "x(1)=-4/-1 has S(1)=-1 < 0"
+        )
+
     @pytest.mark.parametrize("lag, n", [(1, 41), (2, 42)])
     def test_the_doslic_index_follows_the_lag(self, monkeypatch, lag, n):
         truncate(monkeypatch, "_direct_quotients", (7, 40))
@@ -515,6 +528,161 @@ class TestFaultsThroughTheSeam:
         assert run_verify_sweep(config).first_counterexample == Counterexample(
             "doslic", 7, n, f"stream ended before n={n}"
         )
+
+
+class TestForkedLanes:
+    """`verify._run_forked`, which `figurate verify` runs, returns `run_verify_sweep`'s report.
+
+    After every test the process has no child left, reaped or running.
+    """
+
+    CONFIG = dict(m_to=8, n_max=60)
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def assert_serial(self, config):
+        report = verify._run_forked(config)
+        assert report == run_verify_sweep(config)
+        return report
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    @pytest.mark.parametrize(
+        "checks",
+        [subset for k in range(1, 6) for subset in itertools.combinations(CHECK_NAMES, k)],
+        ids="+".join,
+    )
+    def test_every_subset_of_checks(self, checks, lag):
+        self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks, delta_offset=lag))
+
+    @staticmethod
+    def fail_outside(monkeypatch):
+        """Make every check fail, with a note, only where it runs outside this process."""
+        parent = os.getpid()
+
+        def elsewhere(check):
+            def stand_in(m, config, notes):
+                if os.getpid() == parent:
+                    return None
+                notes.append(f"ran in a child at m={m}")
+                return Counterexample(check, m, 1, "ran in a child")
+
+            return stand_in
+
+        for check in CHECK_NAMES:
+            monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, elsewhere(check))
+
+    def test_the_child_lane_runs_in_another_process(self, monkeypatch):
+        self.fail_outside(monkeypatch)
+        report = verify._run_forked(VerifySweepConfig(**self.CONFIG))
+        assert [summary.passed for summary in report.summaries] == [
+            check not in verify._CHILD_LANE for check in CHECK_NAMES
+        ]
+        for check in verify._CHILD_LANE:
+            assert report.summary_for(check) == verify.CheckSummary(
+                check, False, Counterexample(check, 3, 1, "ran in a child"), ("ran in a child at m=3",)
+            )
+
+    @pytest.mark.parametrize("checks", [verify._CHILD_LANE, ("cross-formula", "doslic")])
+    def test_one_process_when_a_lane_is_empty(self, monkeypatch, checks):
+        self.fail_outside(monkeypatch)
+        assert verify._run_forked(VerifySweepConfig(**self.CONFIG, checks=checks)).passed
+
+    def test_one_process_without_fork(self, monkeypatch):
+        self.fail_outside(monkeypatch)
+        monkeypatch.delattr(os, "fork")
+        assert verify._run_forked(VerifySweepConfig(**self.CONFIG)).passed
+
+    @pytest.mark.parametrize("check, name, change, witness", SEAM_FAULTS, ids=SEAM_IDS)
+    def test_a_seam_fault(self, monkeypatch, check, name, change, witness):
+        perturb(monkeypatch, name, (7, 40), change)
+        report = self.assert_serial(VerifySweepConfig(**self.CONFIG))
+        assert report.summary_for(check).counterexample == Counterexample(check, 7, 40, witness)
+
+    @pytest.mark.parametrize("cut", [0, 1, 2], ids=["no-value", "one-value", "before-40"])
+    @pytest.mark.parametrize("name", TRUNCATIONS)
+    def test_a_truncation(self, monkeypatch, name, cut):
+        start = 3 if name == "_coefficients" else 1
+        truncate(monkeypatch, name, (7, (start, start + 1, 40)[cut]))
+        assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    @pytest.mark.parametrize(
+        "name, at, change", [row[:3] for row in NON_POSITIVE], ids=NON_POSITIVE_IDS
+    )
+    def test_a_non_positive_value(self, monkeypatch, name, at, change, lag):
+        perturb(monkeypatch, name, at, change)
+        config = VerifySweepConfig(**self.CONFIG, delta_offset=lag)
+        assert not self.assert_serial(config).passed
+
+    @staticmethod
+    def in_the_child(monkeypatch, check, act):
+        """Make `check` call act() first where it runs outside this process."""
+        parent = os.getpid()
+        real = verify._CHECK_FUNCTIONS[check]
+
+        def stand_in(m, config, notes):
+            if os.getpid() != parent:
+                act()
+            return real(m, config, notes)
+
+        monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, stand_in)
+
+    @pytest.mark.parametrize("check", verify._CHILD_LANE)
+    @pytest.mark.parametrize("status", [9, 0], ids=["exit-9", "exit-0-unwritten"])
+    def test_a_child_that_exits_early(self, monkeypatch, check, status):
+        self.in_the_child(monkeypatch, check, lambda: os._exit(status))
+        perturb(monkeypatch, "_recurrence_quotients", (5, 10), lambda x: (x[0] + 1, x[1]))
+        assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
+
+    @pytest.mark.parametrize("check", verify._CHILD_LANE)
+    def test_a_child_that_raises_only_in_the_child(self, monkeypatch, check):
+        def fail():
+            raise core.InvariantViolation("in the child")
+
+        self.in_the_child(monkeypatch, check, fail)
+        assert self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
+
+    # (checks that raise, the one whose exception a serial run raises)
+    @pytest.mark.parametrize(
+        "raising, first",
+        [
+            (("bounds",), "bounds"),
+            (("margins",), "margins"),
+            (("cross-formula",), "cross-formula"),
+            (("doslic",), "doslic"),
+            (("cross-formula", "monotonicity"), "cross-formula"),
+            (("monotonicity", "doslic"), "monotonicity"),
+        ],
+    )
+    def test_an_exception_is_the_one_a_serial_run_raises(self, monkeypatch, raising, first):
+        def stand_in(check):
+            def raise_it(m, config, notes):
+                raise core.InvariantViolation(f"{check} at m={m}")
+
+            return raise_it
+
+        for check in raising:
+            monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, stand_in(check))
+        config = VerifySweepConfig(**self.CONFIG)
+        with pytest.raises(core.InvariantViolation, match=f"^{first} at m=3$"):
+            run_verify_sweep(config)
+        with pytest.raises(core.InvariantViolation, match=f"^{first} at m=3$"):
+            verify._run_forked(config)
+
+    def test_an_interrupt_in_the_parent_kills_the_child(self, monkeypatch):
+        def interrupt(m, config, notes):
+            raise KeyboardInterrupt
+
+        self.in_the_child(monkeypatch, "bounds", lambda: time.sleep(60))  # unless it is killed
+        monkeypatch.setitem(verify._CHECK_FUNCTIONS, "doslic", interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify._run_forked(VerifySweepConfig(m_to=3, n_max=60))  # one sleep
+        assert time.monotonic() - start < 30
 
 
 @st.composite
