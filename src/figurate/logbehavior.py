@@ -157,10 +157,13 @@ def _as_sequence(seq: PositiveSequence | Iterable[int | Fraction]) -> PositiveSe
 
 @dataclass(frozen=True)
 class ConditionFlag:
-    """Outcome of a per-index condition: ok, or the first failing index."""
+    """Outcome of a per-index condition: the first failing index, or None when it holds."""
 
-    ok: bool
     first_failure: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_failure is None
 
 
 @dataclass(frozen=True)
@@ -358,8 +361,8 @@ def check_quotient_bounds(
         if p > m * q and first_high is None:
             first_high = position
     return BoundsReport(
-        lower=ConditionFlag(first_low is None, first_low),
-        upper=ConditionFlag(first_high is None, first_high),
+        lower=ConditionFlag(first_low),
+        upper=ConditionFlag(first_high),
         window=(1, len(pairs)),
     )
 
@@ -418,10 +421,10 @@ def check_doslic_criterion(
 
     return CriterionReport(
         window=(n_start, n_end),
-        r_nonneg=ConditionFlag(first_r is None, first_r),
-        t_nonpos=ConditionFlag(first_t is None, first_t),
-        seed_step_ok=ConditionFlag(seed_ok, None if seed_ok else n_start),
-        delta_condition=ConditionFlag(first_delta is None, first_delta),
+        r_nonneg=ConditionFlag(first_r),
+        t_nonpos=ConditionFlag(first_t),
+        seed_step_ok=ConditionFlag(None if seed_ok else n_start),
+        delta_condition=ConditionFlag(first_delta),
         delta_offset=delta_offset,
     )
 

@@ -25,7 +25,7 @@ by name, so replacing one there puts a fault into every check that reads it.
 
 `run_verify_sweep` runs in the calling process. Where `os.fork` exists, the
 `figurate verify` command runs the checks in two processes instead, with the
-same output (`_run_forked`).
+same output (`_run_forked`); any failure there means the serial sweep.
 """
 
 from __future__ import annotations
@@ -103,9 +103,12 @@ class Counterexample:
 @dataclass(frozen=True)
 class CheckSummary:
     check: str
-    passed: bool
     counterexample: Counterexample | None = None
     notes: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 @dataclass(frozen=True)
@@ -274,9 +277,7 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
                 counterexample = Counterexample(check, m, ended.n, str(ended))
             if counterexample is not None:
                 break
-        summaries.append(
-            CheckSummary(check, counterexample is None, counterexample, tuple(notes))
-        )
+        summaries.append(CheckSummary(check, counterexample, tuple(notes)))
     return SweepReport(config, tuple(summaries))
 
 
@@ -289,10 +290,10 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
     """`run_verify_sweep(config)`, with the checks of `_CHILD_LANE` run in a forked child.
 
     Checks are independent, so the report is the serial one. The child sends
-    its summaries back through a pipe as marshalled tuples. If it ends without
-    a complete result, the parent runs the child's checks itself; if the
-    parent's own checks raise, it runs the serial sweep, so every exception
-    is the one a serial run raises. The child is always reaped.
+    its summaries back through a pipe as marshalled tuples. Any failure, of the
+    pipe, the fork, the parent's own checks or a child that ends without a
+    complete result, kills the child and returns the serial sweep, so every
+    exception is the one a serial run raises. The child is always reaped.
     """
     lanes = (
         tuple(check for check in config.checks if check not in _CHILD_LANE),
@@ -300,44 +301,38 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
     )
     if not all(lanes) or not hasattr(os, "fork"):
         return run_verify_sweep(config)
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            summaries = run_verify_sweep(replace(config, checks=lanes[1])).summaries
-            with open(write_end, "wb") as pipe:
-                marshal.dump(tuple(map(astuple, summaries)), pipe)
-            status = 0
-        finally:
-            # never return into the caller's stack, flush its buffers or run its atexit hooks
-            os._exit(status)
-    os.close(write_end)
-    data = None
+    pid = child = None
     try:
-        with open(read_end, "rb") as pipe:
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as source, open(write_end, "wb") as sink:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    summaries = run_verify_sweep(replace(config, checks=lanes[1])).summaries
+                    marshal.dump(tuple(map(astuple, summaries)), sink)
+                    sink.flush()
+                    status = 0
+                finally:
+                    # never return into the caller's stack, flush its buffers or run its atexit hooks
+                    os._exit(status)
+            sink.close()
             own = run_verify_sweep(replace(config, checks=lanes[0])).summaries
-            data = pipe.read()
+            child = tuple(
+                CheckSummary(check, None if found is None else Counterexample(*found), notes)
+                for check, found, notes in marshal.load(source)
+            )
     except Exception:
-        pass  # data stays None
+        pass  # child stays None
     finally:
-        if data is None:
-            import signal  # here, not at the top: it takes ~1.5 ms to import
+        if pid:
+            if child is None:
+                import signal  # here, not at the top: it takes ~1.5 ms to import
 
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    if data is None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if child is None:
         # a serial run raises the exception of the first check that raises one
         return run_verify_sweep(config)
-    try:
-        rows = marshal.loads(data)
-    except (EOFError, ValueError):  # the child ended before it wrote all its summaries
-        child = run_verify_sweep(replace(config, checks=lanes[1])).summaries
-    else:
-        child = tuple(
-            CheckSummary(check, passed, None if found is None else Counterexample(*found), notes)
-            for check, passed, found, notes in rows
-        )
     by_check = {summary.check: summary for summary in own + child}
     return SweepReport(config, tuple(by_check[check] for check in config.checks))

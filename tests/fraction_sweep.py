@@ -127,10 +127,10 @@ def fraction_doslic_criterion(m, n_start, n_end, delta_offset=2, *, r_of=None, t
 
     return CriterionReport(
         window=(n_start, n_end),
-        r_nonneg=ConditionFlag(first_r is None, first_r),
-        t_nonpos=ConditionFlag(first_t is None, first_t),
-        seed_step_ok=ConditionFlag(seed_ok, None if seed_ok else n_start),
-        delta_condition=ConditionFlag(first_delta is None, first_delta),
+        r_nonneg=ConditionFlag(first_r),
+        t_nonpos=ConditionFlag(first_t),
+        seed_step_ok=ConditionFlag(None if seed_ok else n_start),
+        delta_condition=ConditionFlag(first_delta),
         delta_offset=delta_offset,
     )
 
@@ -175,7 +175,5 @@ def run_fraction_sweep(config: VerifySweepConfig, corrupt_at=None) -> SweepRepor
             notes.extend(m_notes)
             if counterexample is not None:
                 break
-        summaries.append(
-            CheckSummary(check, counterexample is None, counterexample, tuple(notes))
-        )
+        summaries.append(CheckSummary(check, counterexample, tuple(notes)))
     return SweepReport(config, tuple(summaries))

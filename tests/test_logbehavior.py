@@ -1,5 +1,6 @@
 """Tests for sequence classification, quotient checks, and the criterion."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from figurate.core import (
     quotient_direct,
 )
 from figurate.logbehavior import (
+    ConditionFlag,
     LogBehavior,
     Monotonicity,
     PositiveSequence,
@@ -194,6 +196,19 @@ class TestQuotientMonotonicity:
             Monotonicity.INDETERMINATE: LogBehavior.INDETERMINATE,
         }
         assert classification is expected[direction]
+
+
+class TestConditionFlag:
+    @pytest.mark.parametrize("flag, ok", [(ConditionFlag(), True), (ConditionFlag(7), False)])
+    def test_a_flag_is_ok_exactly_when_nothing_failed(self, flag, ok):
+        assert flag.ok is ok
+
+    def test_a_flag_has_no_ok_field(self):
+        assert [field.name for field in dataclasses.fields(ConditionFlag)] == ["first_failure"]
+        with pytest.raises(TypeError):
+            ConditionFlag(False, 7)
+        with pytest.raises(TypeError):
+            ConditionFlag(ok=True)
 
 
 class TestQuotientBounds:

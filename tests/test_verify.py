@@ -1,5 +1,7 @@
 """Tests for sweep configuration and the cross-checking sweep itself."""
 
+import dataclasses
+import errno
 import itertools
 import math
 import os
@@ -24,6 +26,7 @@ from figurate.core import (
 )
 from figurate.verify import (
     CHECK_NAMES,
+    CheckSummary,
     Counterexample,
     VerifySweepConfig,
     _seed_quotients,
@@ -100,6 +103,24 @@ class TestSweep:
     def test_rejects_anything_but_a_config_or_none_naming_its_type(self, config):
         with pytest.raises(TypeError, match=f"got {type(config).__name__}$"):
             run_verify_sweep(config)
+
+    @pytest.mark.parametrize(
+        "summary, passed",
+        [
+            (CheckSummary("bounds"), True),
+            (CheckSummary("bounds", Counterexample("bounds", 3, 1, "w")), False),
+        ],
+    )
+    def test_a_summary_passes_exactly_when_it_has_no_counterexample(self, summary, passed):
+        assert summary.passed is passed
+
+    def test_a_summary_has_no_passed_field(self):
+        names = [field.name for field in dataclasses.fields(CheckSummary)]
+        assert names == ["check", "counterexample", "notes"]
+        with pytest.raises(TypeError):
+            CheckSummary("bounds", True, None, ())
+        with pytest.raises(TypeError):
+            CheckSummary("bounds", passed=True)
 
     def test_summary_lookup(self):
         report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
@@ -530,19 +551,27 @@ class TestFaultsThroughTheSeam:
         )
 
 
+def open_fds():
+    """This process's open file descriptors, or None where /proc/self/fd does not exist."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 class TestForkedLanes:
     """`verify._run_forked`, which `figurate verify` runs, returns `run_verify_sweep`'s report.
 
-    After every test the process has no child left, reaped or running.
+    After every test the process has no child left, reaped or running, and the
+    file descriptors it had before.
     """
 
     CONFIG = dict(m_to=8, n_max=60)
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
+        fds = open_fds()
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
 
     def assert_serial(self, config):
         report = verify._run_forked(config)
@@ -583,7 +612,7 @@ class TestForkedLanes:
         ]
         for check in verify._CHILD_LANE:
             assert report.summary_for(check) == verify.CheckSummary(
-                check, False, Counterexample(check, 3, 1, "ran in a child"), ("ran in a child at m=3",)
+                check, Counterexample(check, 3, 1, "ran in a child"), ("ran in a child at m=3",)
             )
 
     @pytest.mark.parametrize("checks", [verify._CHILD_LANE, ("cross-formula", "doslic")])
@@ -601,6 +630,25 @@ class TestForkedLanes:
         perturb(monkeypatch, name, (7, 40), change)
         report = self.assert_serial(VerifySweepConfig(**self.CONFIG))
         assert report.summary_for(check).counterexample == Counterexample(check, 7, 40, witness)
+
+    @pytest.mark.parametrize("fault", [None, SEAM_FAULTS[4]], ids=["passing", SEAM_IDS[4]])
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("pipe", OSError(errno.EMFILE, "Too many open files")),
+            ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        ],
+        ids=["pipe-EMFILE", "fork-EAGAIN"],
+    )
+    def test_a_pipe_or_fork_that_fails(self, monkeypatch, name, error, fault):
+        if fault is not None:
+            perturb(monkeypatch, fault[1], (7, 40), fault[2])
+
+        def fail():
+            raise error
+
+        monkeypatch.setattr(os, name, fail)
+        assert self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed is (fault is None)
 
     @pytest.mark.parametrize("cut", [0, 1, 2], ids=["no-value", "one-value", "before-40"])
     @pytest.mark.parametrize("name", TRUNCATIONS)
