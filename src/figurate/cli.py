@@ -124,7 +124,6 @@ def analyze(source):
     metavar="LIST",
     help=f"Comma-separated subset of: {', '.join(CHECK_NAMES)}. Default: all.",
 )
-@click.option("--delta-offset", default=2, type=click.IntRange(1, 2), show_default=True, help="Quotient lag in the Doslic difference condition.")
 @click.option(
     "--format",
     "fmt",
@@ -133,7 +132,7 @@ def analyze(source):
     show_default=True,
     help="Summary format.",
 )
-def verify(m_from, m_to, n_max, checks, delta_offset, fmt):
+def verify(m_from, m_to, n_max, checks, fmt):
     """Run the exact verification sweep and report a per-check summary.
 
     Exits 0 when every selected check passes, 1 with the first
@@ -143,7 +142,7 @@ def verify(m_from, m_to, n_max, checks, delta_offset, fmt):
         name.strip() for name in checks.split(",") if name.strip()
     )
     try:
-        config = VerifySweepConfig(m_from, m_to, n_max, selected, delta_offset)
+        config = VerifySweepConfig(m_from, m_to, n_max, selected)
     except ValueError as error:
         raise click.UsageError(str(error)) from None
 
@@ -171,13 +170,15 @@ def _print_sweep_report(report: SweepReport, fmt: str) -> None:
         widths = [max(map(len, column)) for column in zip(*table)]
         for row in table:
             click.echo("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    # csv stdout is CSV rows only: a FAIL row's detail holds the counterexample; notes go to stderr
     for summary in report.summaries:
         for note in summary.notes:
-            click.echo(f"note: {note}")
+            click.echo(f"note: {note}", err=fmt == "csv")
+    if fmt == "csv":
+        return
     counterexample = report.first_counterexample
     if counterexample is None:
-        if fmt == "plain":
-            click.echo("all checks passed")
+        click.echo("all checks passed")
     else:
         click.echo(
             f"counterexample: check={counterexample.check} m={counterexample.m} "

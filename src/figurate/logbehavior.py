@@ -212,7 +212,7 @@ class CriterionReport:
     The four conditions: r_nonneg (R(n) >= 0 on the window), t_nonpos
     (T(n) <= 0 on the window), seed_step_ok (the quotient sequence does not
     increase at the window start), and delta_condition
-    (dR(n) * x(n - delta_offset) + dT(n) <= 0 on the window, where
+    (dR(n) * x(n - 2) + dT(n) <= 0 on the window, where
     dR(n) = R(n+1) - R(n) and dT(n) = T(n+1) - T(n)).
     """
 
@@ -221,7 +221,6 @@ class CriterionReport:
     t_nonpos: ConditionFlag
     seed_step_ok: ConditionFlag
     delta_condition: ConditionFlag
-    delta_offset: int
 
     @property
     def verdict(self) -> bool:
@@ -367,12 +366,7 @@ def check_quotient_bounds(
     )
 
 
-def check_doslic_criterion(
-    m: int,
-    n_start: int,
-    n_end: int,
-    delta_offset: int = 2,
-) -> CriterionReport:
+def check_doslic_criterion(m: int, n_start: int, n_end: int) -> CriterionReport:
     """Check the Doslic log-concavity conditions on the window [n_start, n_end].
 
     For the m-gonal family with recurrence coefficients R(n), T(n) and
@@ -380,11 +374,7 @@ def check_doslic_criterion(
 
     * R(n) >= 0 and T(n) <= 0 for n in [n_start, n_end];
     * x(n_start) >= x(n_start + 1);
-    * dR(n) * x(n - delta_offset) + dT(n) <= 0 for n in [n_start, n_end].
-
-    Both lag conventions for the difference condition appear in the
-    literature; delta_offset in {1, 2} selects whether dR(n) multiplies the
-    immediately preceding quotient or the one before it.
+    * dR(n) * x(n - 2) + dT(n) <= 0 for n in [n_start, n_end].
 
     Every condition is decided on integers: R(n) = r/d and T(n) = t/d with
     d > 0, and a quotient pair whose denominator is <= 0 fails its condition.
@@ -395,10 +385,6 @@ def check_doslic_criterion(
         raise TypeError(f"window end must be an int, got {type(n_end).__name__}")
     if n_end < n_start:
         raise ValueError(f"window end must be >= window start, got [{n_start}, {n_end}]")
-    if not _is_int(delta_offset):
-        raise TypeError(f"delta_offset must be an int, got {type(delta_offset).__name__}")
-    if delta_offset not in (1, 2):
-        raise ValueError(f"delta_offset must be 1 or 2, got {delta_offset}")
     # read first, so that a short quotient stream names its earliest missing index
     quotients = itertools.islice(core._direct_quotients(m), n_start - 1, None)
     (seed, _), (following, _) = core._window(n_start, n_start + 1, quotients)
@@ -407,8 +393,8 @@ def check_doslic_criterion(
     first_r = first_t = first_delta = None  # the first n where each condition fails
     coefficients = core._coefficients(m, n_start)
     ((here, _),) = core._window(n_start, n_start, coefficients)
-    # the rest of the coefficients, from n + 1, and x(n - delta_offset), for each n
-    lagged = itertools.islice(core._direct_quotients(m), n_start - delta_offset - 1, None)
+    # the rest of the coefficients, from n + 1, and x(n - 2), for each n
+    lagged = itertools.islice(core._direct_quotients(m), n_start - 3, None)
     for ahead, x, n in core._window(n_start, n_end, coefficients, lagged):
         if here[0] < 0 or here[1] > 0 or x[1] <= 0 or _doslic_delta(here, ahead, x) > 0:
             if here[0] < 0 and first_r is None:
@@ -425,7 +411,6 @@ def check_doslic_criterion(
         t_nonpos=ConditionFlag(first_t),
         seed_step_ok=ConditionFlag(None if seed_ok else n_start),
         delta_condition=ConditionFlag(first_delta),
-        delta_offset=delta_offset,
     )
 
 

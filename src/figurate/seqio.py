@@ -6,7 +6,8 @@ Formats are deliberately rigid so that emitted files are bit-exact:
   strictly increasing by 1;
 * CSV: header row then rows, integers in decimal, rationals as "p/q" in
   lowest terms, never decimal expansions;
-* sequence file: whitespace-separated integers or "p/q" rationals.
+* sequence file: whitespace-separated integers or "p/q" rationals;
+* every number read is ASCII digits with an optional sign, no "_" separators.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ __all__ = [
     "parse_sequence_file",
 ]
 
-_TOKEN_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+# ASCII digits only: int() alone would also take "1_0" and non-ASCII digits such as "\u0663"
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+_TOKEN_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 class BFileParseError(ValueError):
@@ -88,6 +91,8 @@ def parse_bfile(text: str | bytes) -> list[BFileRecord]:
                 line_number, f"expected '<index> <value>', got {raw!r}"
             )
         try:
+            if not all(map(_INTEGER_RE.match, fields)):
+                raise ValueError
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise BFileParseError(

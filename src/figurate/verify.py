@@ -59,10 +59,9 @@ class VerifySweepConfig:
     m_to: int = 50
     n_max: int = 2000
     checks: tuple[str, ...] = CHECK_NAMES
-    delta_offset: int = 2
 
     def __post_init__(self):
-        for name in ("m_from", "m_to", "n_max", "delta_offset"):
+        for name in ("m_from", "m_to", "n_max"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
@@ -77,8 +76,6 @@ class VerifySweepConfig:
             raise ValueError(f"m_to must be >= m_from, got {self.m_to} < {self.m_from}")
         if self.n_max < 3:
             raise ValueError(f"n_max must be >= 3, got {self.n_max}")
-        if self.delta_offset not in (1, 2):
-            raise ValueError(f"delta_offset must be 1 or 2, got {self.delta_offset}")
         checks = tuple(self.checks)
         unknown = [name for name in checks if name not in CHECK_NAMES]
         if unknown:
@@ -234,12 +231,12 @@ def _check_margins(m, config, notes):
 
 def _check_doslic(m, config, notes):
     """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
-    report = check_doslic_criterion(m, 3, config.n_max, config.delta_offset)
+    report = check_doslic_criterion(m, 3, config.n_max)
     conditions = (
         (report.r_nonneg, "R(n) < 0"),
         (report.t_nonpos, "T(n) > 0"),
         (report.seed_step_ok, "quotient increases at the window start"),
-        (report.delta_condition, f"dR(n)x(n-{report.delta_offset}) + dT(n) > 0"),
+        (report.delta_condition, "dR(n)x(n-2) + dT(n) > 0"),
     )
     for flag, witness in conditions:
         if not flag.ok:

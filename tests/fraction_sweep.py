@@ -102,7 +102,7 @@ def _check_margins(m, config, corrupt_at):
     return None, notes
 
 
-def fraction_doslic_criterion(m, n_start, n_end, delta_offset=2, *, r_of=None, t_of=None):
+def fraction_doslic_criterion(m, n_start, n_end, *, r_of=None, t_of=None):
     if r_of is None:
         r_of = lambda n: coefficient_r(m, n)
     if t_of is None:
@@ -116,7 +116,7 @@ def fraction_doslic_criterion(m, n_start, n_end, delta_offset=2, *, r_of=None, t
             first_r = n
         if t_of(n) > 0 and first_t is None:
             first_t = n
-        delta = (r_of(n + 1) - r_of(n)) * _quotient(m, n - delta_offset) + (
+        delta = (r_of(n + 1) - r_of(n)) * _quotient(m, n - 2) + (
             t_of(n + 1) - t_of(n)
         )
         if delta > 0 and first_delta is None:
@@ -131,7 +131,6 @@ def fraction_doslic_criterion(m, n_start, n_end, delta_offset=2, *, r_of=None, t
         t_nonpos=ConditionFlag(first_t),
         seed_step_ok=ConditionFlag(None if seed_ok else n_start),
         delta_condition=ConditionFlag(first_delta),
-        delta_offset=delta_offset,
     )
 
 
@@ -140,7 +139,7 @@ def _quotient(m, n):
 
 
 def _check_doslic(m, config, corrupt_at):
-    report = fraction_doslic_criterion(m, 3, config.n_max, config.delta_offset)
+    report = fraction_doslic_criterion(m, 3, config.n_max)
     if report.verdict:
         return None, []
     if not report.r_nonneg.ok:
@@ -151,7 +150,7 @@ def _check_doslic(m, config, corrupt_at):
         n, witness = report.seed_step_ok.first_failure, "quotient increases at the window start"
     else:
         n = report.delta_condition.first_failure
-        witness = f"dR(n)x(n-{report.delta_offset}) + dT(n) > 0"
+        witness = "dR(n)x(n-2) + dT(n) > 0"
     return Counterexample("doslic", m, n, witness), []
 
 

@@ -31,7 +31,7 @@ from figurate.logbehavior import (
 )
 from figurate.cli import cli
 from figurate.seqio import BFileStructureError, parse_bfile
-from figurate.verify import VerifySweepConfig, run_verify_sweep
+from figurate.verify import run_verify_sweep
 from faults import perturb
 
 M_LO, M_HI, N_MAX = 3, 50, 2000
@@ -122,14 +122,6 @@ def test_criterion_6_doslic_criterion(default_sweep):
         delta_t = coefficient_t(3, 4) - coefficient_t(3, 3)
         spot = delta_r * quotient_direct(3, 1)[0] + delta_t
         assert spot == Fraction(-1, 3)
-    # The lag-1 variant is selectable but not part of the criterion. Its delta,
-    # -2(m-2)^2 / ((n-1)((m-2)(n-2)+1)((m-2)(n-2)+2)), is < 0 for n >= 3, so it
-    # must pass over the same window too.
-    lag_one = run_verify_sweep(
-        VerifySweepConfig(checks=("doslic",), delta_offset=1)
-    )
-    print(f"note: lag-1 variant over the same window: passed={lag_one.passed}")
-    assert lag_one.passed
 
 
 def _oracle_classification(terms):

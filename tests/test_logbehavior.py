@@ -320,7 +320,9 @@ class TestDoslicCriterion:
         report = check_doslic_criterion(3, 3, 3)
         assert report.verdict
         assert report.window == (3, 3)
-        assert report.delta_offset == 2
+        assert [field.name for field in dataclasses.fields(report)] == [
+            "window", "r_nonneg", "t_nonpos", "seed_step_ok", "delta_condition"
+        ]
 
     def test_wide_window_passes(self):
         report = check_doslic_criterion(3, 3, 100)
@@ -343,11 +345,6 @@ class TestDoslicCriterion:
         x1 = quotient_direct(3, 1)[0]
         assert delta_r * x1 + delta_t == Fraction(-1, 3)
 
-    def test_lag_one_variant_runs(self):
-        report = check_doslic_criterion(3, 3, 100, delta_offset=1)
-        assert report.delta_offset == 1
-        assert report.r_nonneg.ok and report.t_nonpos.ok and report.seed_step_ok.ok
-
     def test_injected_positive_t_is_caught(self, monkeypatch):
         perturb(monkeypatch, "_coefficients", (3, 3), lambda c: (c[0], -c[1], c[2]))
         report = check_doslic_criterion(3, 3, 10)
@@ -362,15 +359,14 @@ class TestDoslicCriterion:
         assert report.r_nonneg.first_failure == 3
         assert not report.verdict
 
-    @pytest.mark.parametrize("lag", [1, 2])
-    def test_matches_the_fraction_criterion(self, lag):
+    def test_matches_the_fraction_criterion(self):
         # The integer conditions against the former Fraction implementation,
         # on the real coefficients and on R and T replaced in figurate.core;
         # the oracle is handed the same R and T. The real ones, put back over
         # a common denominator, must give the same report; the crooked ones
         # give R and T different denominators, and their R, T and delta
-        # conditions first fail inside the windows, at indices that depend on
-        # m and lag.
+        # conditions first fail inside the windows, at indices that depend
+        # on m.
         crooked = {
             "r_of": lambda n: Fraction(30 - n, 7 * n),
             "t_of": lambda n: Fraction(n - 25, 4),
@@ -383,14 +379,14 @@ class TestDoslicCriterion:
                 "t_of": {n: coefficient_t(m, n) for n in range(3, 82)}.__getitem__,
             }
             for n_start, n_end in ((3, 3), (3, 80), (5, 40)):
-                expected = fraction_doslic_criterion(m, n_start, n_end, lag)
-                assert check_doslic_criterion(m, n_start, n_end, lag) == expected
+                expected = fraction_doslic_criterion(m, n_start, n_end)
+                assert check_doslic_criterion(m, n_start, n_end) == expected
                 for hooks in ({}, {"r_of": crooked["r_of"]}, {"t_of": crooked["t_of"]}, crooked):
                     coefficients = {**real, **hooks}
-                    expected = fraction_doslic_criterion(m, n_start, n_end, lag, **coefficients)
+                    expected = fraction_doslic_criterion(m, n_start, n_end, **coefficients)
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(core, "_coefficients", coefficient_triples(**coefficients))
-                        assert check_doslic_criterion(m, n_start, n_end, lag) == expected
+                        assert check_doslic_criterion(m, n_start, n_end) == expected
 
     def test_rejects_start_below_three(self):
         with pytest.raises(ValueError):
@@ -400,10 +396,6 @@ class TestDoslicCriterion:
         with pytest.raises(ValueError):
             check_doslic_criterion(3, 5, 4)
 
-    def test_rejects_bad_offset(self):
-        with pytest.raises(ValueError):
-            check_doslic_criterion(3, 3, 5, delta_offset=3)
-
     @pytest.mark.parametrize(
         "arguments, message",
         [
@@ -411,11 +403,9 @@ class TestDoslicCriterion:
             ((3, 3, 10.0), "window end must be an int, got float"),
             ((3, 3, True), "window end must be an int, got bool"),
             ((3, True, 10), "window start must be an int, got bool"),
-            ((3, 3, 10, True), "delta_offset must be an int, got bool"),
-            ((3, 3, 10, 2.0), "delta_offset must be an int, got float"),
         ],
     )
-    def test_rejects_non_int_window_and_offset(self, arguments, message):
+    def test_rejects_non_int_window(self, arguments, message):
         with pytest.raises(TypeError, match=message):
             check_doslic_criterion(*arguments)
 

@@ -60,6 +60,17 @@ class TestParseBFile:
         with pytest.raises(BFileParseError):
             parse_bfile("1 1.5\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["1_0 5", "1 1_0", "\u0661 5", "1 \u0663", "1 -\uff15"],
+        ids=["underscore-index", "underscore-value", "arabic-index", "arabic-value", "fullwidth"],
+    )
+    def test_only_ascii_digits_make_an_integer(self, line):
+        # int() alone accepts each of these fields
+        with pytest.raises(BFileParseError, match="^line 2: non-integer field") as excinfo:
+            parse_bfile(f"# header\n{line}\n")
+        assert excinfo.value.line_number == 2
+
     def test_index_gap_names_line_and_gap(self):
         with pytest.raises(BFileStructureError) as excinfo:
             parse_bfile("1 1\n3 6\n")
@@ -175,6 +186,14 @@ class TestParseSequenceFile:
         with pytest.raises(SequenceParseError) as excinfo:
             parse_sequence_file("1 2.5")
         assert excinfo.value.position == 2
+
+    @pytest.mark.parametrize(
+        "token", ["\u0663", "3/\u0664", "+\uff13"], ids=["arabic", "arabic-denominator", "fullwidth"]
+    )
+    def test_only_ascii_digits_make_a_number(self, token):
+        with pytest.raises(SequenceParseError, match="^token 3: cannot parse") as excinfo:
+            parse_sequence_file(f"1 2 {token} 4")
+        assert excinfo.value.position == 3
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(SequenceParseError) as excinfo:

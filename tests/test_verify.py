@@ -43,7 +43,9 @@ class TestConfig:
         assert config.m_to == 50
         assert config.n_max == 2000
         assert config.checks == CHECK_NAMES
-        assert config.delta_offset == 2
+        assert [field.name for field in dataclasses.fields(config)] == [
+            "m_from", "m_to", "n_max", "checks"
+        ]
 
     def test_checks_normalized_to_canonical_order(self):
         config = VerifySweepConfig(checks=("bounds", "cross-formula"))
@@ -61,10 +63,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus"):
             VerifySweepConfig(checks=("bogus",))
 
-    def test_rejects_bad_offset(self):
-        with pytest.raises(ValueError):
-            VerifySweepConfig(delta_offset=0)
-
     def test_rejects_tiny_index_cap(self):
         with pytest.raises(ValueError):
             VerifySweepConfig(n_max=2)
@@ -75,7 +73,6 @@ class TestConfig:
             ("m_from", 3.0),
             ("m_to", 4.5),
             ("n_max", 60.0),
-            ("delta_offset", 2.0),
             ("m_from", True),
             ("n_max", "60"),
             ("checks", "margins"),
@@ -157,12 +154,6 @@ class TestSweep:
     def test_corruption_outside_window_is_invisible(self, monkeypatch):
         perturb(monkeypatch, "_first_order_terms", (9, 3), lambda term: term + 1)
         report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
-        assert report.passed
-
-    def test_lag_one_sweep_passes(self):
-        report = run_verify_sweep(
-            VerifySweepConfig(m_to=8, n_max=60, delta_offset=1)
-        )
         assert report.passed
 
 
@@ -250,13 +241,11 @@ class TestCheckFunctions:
             ["zero margin at m=3 j=2"],
         )
 
-    @pytest.mark.parametrize("lag, n", [(1, 3), (2, 4)])
-    def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch, lag, n):
+    def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch):
         direct = [(3, 1), (1, 2), (10, 6), (15, 10), (21, 15)]  # only x(2) < 1
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        config = VerifySweepConfig(n_max=5, delta_offset=lag)
-        assert run_check(verify._check_doslic, 3, config) == (
-            Counterexample("doslic", 3, n, f"dR(n)x(n-{lag}) + dT(n) > 0"),
+        assert run_check(verify._check_doslic, 3, VerifySweepConfig(n_max=5)) == (
+            Counterexample("doslic", 3, 4, "dR(n)x(n-2) + dT(n) > 0"),
             [],
         )
 
@@ -333,9 +322,11 @@ TRUNCATIONS = {
 }
 
 
+DELTA = "dR(n)x(n-2) + dT(n) > 0"
+
 # A zero or negative value put into a core stream at (m, n): each check that it
 # breaks names the index at which it reads it; every other check passes.
-# (stream, (m, n), change, {check: (n, witness)}, the doslic n at lags 1 and 2)
+# (stream, (m, n), change, {check: (n, witness)})
 # A margin is defined for any integers: S(n) = 0 breaks the margin after it,
 # -S(n) none, and a zero S(1) leaves the first margin S(2)^2 > 0.
 NON_POSITIVE = [
@@ -347,8 +338,8 @@ NON_POSITIVE = [
             "cross-formula": (1, "closed-form=0 alt-form=1"),
             "bounds": (1, "x(1)=4/0 exceeds m=4"),
             "monotonicity": (1, "direct=4/0 recurrence=4"),
+            "doslic": (3, DELTA),
         },
-        (None, 3),  # at lag 1 the delta condition never reads x(1)
     ),
     (
         "_closed_form_terms",
@@ -359,8 +350,8 @@ NON_POSITIVE = [
             "bounds": (4, "x(4)=0 is not > 1"),
             "monotonicity": (4, "direct=0 recurrence=55/34"),
             "margins": (5, "margin=-2754"),
+            "doslic": (6, DELTA),
         },
-        (5, 6),
     ),
     (
         "_closed_form_terms",
@@ -370,8 +361,8 @@ NON_POSITIVE = [
             "cross-formula": (5, "closed-form=-55 alt-form=55"),
             "bounds": (4, "x(4)=-55/34 is not > 1"),
             "monotonicity": (4, "direct=-55/34 recurrence=55/34"),
+            "doslic": (6, DELTA),
         },
-        (5, 6),
     ),
     (
         "_direct_quotients",
@@ -380,8 +371,8 @@ NON_POSITIVE = [
         {
             "bounds": (5, "x(5)=81/0 exceeds m=7"),
             "monotonicity": (5, "direct=81/0 recurrence=81/55"),
+            "doslic": (7, DELTA),
         },
-        (6, 7),
     ),
     (
         "_direct_quotients",
@@ -390,22 +381,20 @@ NON_POSITIVE = [
         {
             "bounds": (5, "x(5)=81/-55 has S(5)=-55 < 0"),
             "monotonicity": (5, "direct=-81/55 recurrence=81/55"),
+            "doslic": (7, DELTA),
         },
-        (6, 7),
     ),
     (
         "_recurrence_quotients",
         (7, 5),
         lambda x: (x[0], 0),
         {"monotonicity": (5, "direct=81/55 recurrence=81/0")},
-        (None, None),
     ),
     (
         "_recurrence_quotients",
         (7, 5),
         lambda x: (x[0], -x[1]),
         {"monotonicity": (5, "direct=81/55 recurrence=-81/55")},
-        (None, None),
     ),
 ]
 NON_POSITIVE_IDS = [
@@ -498,19 +487,12 @@ class TestFaultsThroughTheSeam:
     @pytest.mark.parametrize(
         "checks", [(check,) for check in CHECK_NAMES] + [CHECK_NAMES], ids=[*CHECK_NAMES, "all"]
     )
-    @pytest.mark.parametrize("lag", [1, 2])
-    @pytest.mark.parametrize(
-        "name, at, change, expected, doslic", NON_POSITIVE, ids=NON_POSITIVE_IDS
-    )
+    @pytest.mark.parametrize("name, at, change, expected", NON_POSITIVE, ids=NON_POSITIVE_IDS)
     def test_a_non_positive_value_is_a_counterexample(
-        self, monkeypatch, name, at, change, expected, doslic, lag, checks
+        self, monkeypatch, name, at, change, expected, checks
     ):
         perturb(monkeypatch, name, at, change)
-        expected = dict(expected)
-        if doslic[lag - 1] is not None:
-            expected["doslic"] = (doslic[lag - 1], f"dR(n)x(n-{lag}) + dT(n) > 0")
-        config = VerifySweepConfig(**self.CONFIG, checks=checks, delta_offset=lag)
-        report = run_verify_sweep(config)
+        report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=checks))
         assert [summary.check for summary in report.summaries] == list(checks)
         for summary in report.summaries:
             if summary.check in expected:
@@ -519,16 +501,15 @@ class TestFaultsThroughTheSeam:
             else:
                 assert summary.passed
 
-    @pytest.mark.parametrize("lag", [1, 2])
     @pytest.mark.parametrize(
         "change", [lambda x: (x[0], 0), lambda x: (x[0], -x[1])], ids=["over-0", "over-negative"]
     )
     def test_a_seed_quotient_with_a_non_positive_denominator_fails_the_seed_step(
-        self, monkeypatch, change, lag
+        self, monkeypatch, change
     ):
         # x(3) = p/0 or -p/q would compare as x(3) >= x(4) by cross-multiplying
         perturb(monkeypatch, "_direct_quotients", (7, 3), change)
-        config = VerifySweepConfig(**self.CONFIG, checks=("doslic",), delta_offset=lag)
+        config = VerifySweepConfig(**self.CONFIG, checks=("doslic",))
         assert run_verify_sweep(config).first_counterexample == Counterexample(
             "doslic", 7, 3, "quotient increases at the window start"
         )
@@ -542,12 +523,11 @@ class TestFaultsThroughTheSeam:
             "bounds", 4, 1, "x(1)=-4/-1 has S(1)=-1 < 0"
         )
 
-    @pytest.mark.parametrize("lag, n", [(1, 41), (2, 42)])
-    def test_the_doslic_index_follows_the_lag(self, monkeypatch, lag, n):
+    def test_the_doslic_index_follows_the_lag(self, monkeypatch):
         truncate(monkeypatch, "_direct_quotients", (7, 40))
-        config = VerifySweepConfig(**self.CONFIG, checks=("doslic",), delta_offset=lag)
+        config = VerifySweepConfig(**self.CONFIG, checks=("doslic",))
         assert run_verify_sweep(config).first_counterexample == Counterexample(
-            "doslic", 7, n, f"stream ended before n={n}"
+            "doslic", 7, 42, "stream ended before n=42"
         )
 
 
@@ -578,14 +558,13 @@ class TestForkedLanes:
         assert report == run_verify_sweep(config)
         return report
 
-    @pytest.mark.parametrize("lag", [1, 2])
     @pytest.mark.parametrize(
         "checks",
         [subset for k in range(1, 6) for subset in itertools.combinations(CHECK_NAMES, k)],
         ids="+".join,
     )
-    def test_every_subset_of_checks(self, checks, lag):
-        self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks, delta_offset=lag))
+    def test_every_subset_of_checks(self, checks):
+        self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks))
 
     @staticmethod
     def fail_outside(monkeypatch):
@@ -657,14 +636,12 @@ class TestForkedLanes:
         truncate(monkeypatch, name, (7, (start, start + 1, 40)[cut]))
         assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
 
-    @pytest.mark.parametrize("lag", [1, 2])
     @pytest.mark.parametrize(
         "name, at, change", [row[:3] for row in NON_POSITIVE], ids=NON_POSITIVE_IDS
     )
-    def test_a_non_positive_value(self, monkeypatch, name, at, change, lag):
+    def test_a_non_positive_value(self, monkeypatch, name, at, change):
         perturb(monkeypatch, name, at, change)
-        config = VerifySweepConfig(**self.CONFIG, delta_offset=lag)
-        assert not self.assert_serial(config).passed
+        assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
 
     @staticmethod
     def in_the_child(monkeypatch, check, act):
@@ -740,11 +717,10 @@ def sweeps(draw):
     m_to = draw(st.integers(m_from, 40))
     n_max = draw(st.integers(3, 300))
     checks = tuple(draw(st.sets(st.sampled_from(CHECK_NAMES), min_size=1)))
-    delta_offset = draw(st.sampled_from((1, 2)))
     inside = st.tuples(st.integers(m_from, m_to), st.integers(1, n_max))
     anywhere = st.tuples(st.integers(0, 45), st.integers(-2, 310))
     corrupt_at = draw(st.none() | inside | anywhere)
-    return VerifySweepConfig(m_from, m_to, n_max, checks, delta_offset), corrupt_at
+    return VerifySweepConfig(m_from, m_to, n_max, checks), corrupt_at
 
 
 class TestFractionOracle:
