@@ -359,7 +359,9 @@ class TestDoslicCriterion:
         assert report.r_nonneg.first_failure == 3
         assert not report.verdict
 
-    def test_matches_the_fraction_criterion(self):
+    @pytest.mark.parametrize("n_start, n_end", [(3, 3), (3, 80), (5, 40)])
+    @pytest.mark.parametrize("m", [3, 4, 7, 20])
+    def test_matches_the_fraction_criterion(self, m, n_start, n_end):
         # The integer conditions against the former Fraction implementation,
         # on the real coefficients and on R and T replaced in figurate.core;
         # the oracle is handed the same R and T. The real ones, put back over
@@ -371,22 +373,20 @@ class TestDoslicCriterion:
             "r_of": lambda n: Fraction(30 - n, 7 * n),
             "t_of": lambda n: Fraction(n - 25, 4),
         }
-        for m in (3, 4, 7, 20):
-            # R and T as Fractions, computed before anything is patched; the
-            # windows below read them up to n = 81
-            real = {
-                "r_of": {n: coefficient_r(m, n) for n in range(3, 82)}.__getitem__,
-                "t_of": {n: coefficient_t(m, n) for n in range(3, 82)}.__getitem__,
-            }
-            for n_start, n_end in ((3, 3), (3, 80), (5, 40)):
-                expected = fraction_doslic_criterion(m, n_start, n_end)
+        # R and T as Fractions, computed before anything is patched; the
+        # window reads them up to n = n_end + 1
+        real = {
+            "r_of": {n: coefficient_r(m, n) for n in range(3, n_end + 2)}.__getitem__,
+            "t_of": {n: coefficient_t(m, n) for n in range(3, n_end + 2)}.__getitem__,
+        }
+        expected = fraction_doslic_criterion(m, n_start, n_end)
+        assert check_doslic_criterion(m, n_start, n_end) == expected
+        for hooks in ({}, {"r_of": crooked["r_of"]}, {"t_of": crooked["t_of"]}, crooked):
+            coefficients = {**real, **hooks}
+            expected = fraction_doslic_criterion(m, n_start, n_end, **coefficients)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_coefficients", coefficient_triples(**coefficients))
                 assert check_doslic_criterion(m, n_start, n_end) == expected
-                for hooks in ({}, {"r_of": crooked["r_of"]}, {"t_of": crooked["t_of"]}, crooked):
-                    coefficients = {**real, **hooks}
-                    expected = fraction_doslic_criterion(m, n_start, n_end, **coefficients)
-                    with pytest.MonkeyPatch.context() as patch:
-                        patch.setattr(core, "_coefficients", coefficient_triples(**coefficients))
-                        assert check_doslic_criterion(m, n_start, n_end) == expected
 
     def test_rejects_start_below_three(self):
         with pytest.raises(ValueError):
@@ -402,6 +402,8 @@ class TestDoslicCriterion:
             ((3, 3, "10"), "window end must be an int, got str"),
             ((3, 3, 10.0), "window end must be an int, got float"),
             ((3, 3, True), "window end must be an int, got bool"),
+            ((3, "3", 10), "window start must be an int, got str"),
+            ((3, 3.0, 10), "window start must be an int, got float"),
             ((3, True, 10), "window start must be an int, got bool"),
         ],
     )

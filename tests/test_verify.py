@@ -241,11 +241,22 @@ class TestCheckFunctions:
             ["zero margin at m=3 j=2"],
         )
 
-    def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch):
-        direct = [(3, 1), (1, 2), (10, 6), (15, 10), (21, 15)]  # only x(2) < 1
+    # At m = 3, dR(n)x + dT(n) > 0 exactly when x < 1, for every n. The delta
+    # condition reads x(1), x(2), x(3) at n = 3, 4, 5, and of those only the
+    # one named is below 1; x(3) >= x(4) keeps the seed step.
+    @pytest.mark.parametrize(
+        "direct, n",
+        [
+            ([(1, 2), (10, 6), (15, 10), (21, 15), (28, 21)], 3),
+            ([(3, 1), (1, 2), (10, 6), (15, 10), (21, 15)], 4),
+            ([(3, 1), (6, 3), (1, 2), (1, 3), (21, 15)], 5),
+        ],
+        ids=["x(1)", "x(2)", "x(3)"],
+    )
+    def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch, direct, n):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
         assert run_check(verify._check_doslic, 3, VerifySweepConfig(n_max=5)) == (
-            Counterexample("doslic", 3, 4, "dR(n)x(n-2) + dT(n) > 0"),
+            Counterexample("doslic", 3, n, "dR(n)x(n-2) + dT(n) > 0"),
             [],
         )
 
@@ -397,6 +408,9 @@ NON_POSITIVE = [
         {"monotonicity": (5, "direct=81/55 recurrence=-81/55")},
     ),
 ]
+NON_POSITIVE_CHECKS = dict(
+    argvalues=[(check,) for check in CHECK_NAMES] + [CHECK_NAMES], ids=[*CHECK_NAMES, "all"]
+)
 NON_POSITIVE_IDS = [
     "zero-S(1)",
     "zero-S(5)",
@@ -406,6 +420,17 @@ NON_POSITIVE_IDS = [
     "recurrence-over-0",
     "recurrence-over-negative",
 ]
+
+
+def assert_non_positive_report(report, checks, m, expected):
+    """`report` has one summary per check, failing as `expected` at m names and passing elsewhere."""
+    assert [summary.check for summary in report.summaries] == list(checks)
+    for summary in report.summaries:
+        if summary.check in expected:
+            n, witness = expected[summary.check]
+            assert summary.counterexample == Counterexample(summary.check, m, n, witness)
+        else:
+            assert summary.passed
 
 
 class TestFaultsThroughTheSeam:
@@ -484,22 +509,14 @@ class TestFaultsThroughTheSeam:
         truncate(monkeypatch, name, (7, 62))
         assert run_verify_sweep(VerifySweepConfig(**self.CONFIG)).passed
 
-    @pytest.mark.parametrize(
-        "checks", [(check,) for check in CHECK_NAMES] + [CHECK_NAMES], ids=[*CHECK_NAMES, "all"]
-    )
+    @pytest.mark.parametrize("checks", **NON_POSITIVE_CHECKS)
     @pytest.mark.parametrize("name, at, change, expected", NON_POSITIVE, ids=NON_POSITIVE_IDS)
     def test_a_non_positive_value_is_a_counterexample(
         self, monkeypatch, name, at, change, expected, checks
     ):
         perturb(monkeypatch, name, at, change)
         report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=checks))
-        assert [summary.check for summary in report.summaries] == list(checks)
-        for summary in report.summaries:
-            if summary.check in expected:
-                n, witness = expected[summary.check]
-                assert summary.counterexample == Counterexample(summary.check, at[0], n, witness)
-            else:
-                assert summary.passed
+        assert_non_positive_report(report, checks, at[0], expected)
 
     @pytest.mark.parametrize(
         "change", [lambda x: (x[0], 0), lambda x: (x[0], -x[1])], ids=["over-0", "over-negative"]
@@ -523,11 +540,14 @@ class TestFaultsThroughTheSeam:
             "bounds", 4, 1, "x(1)=-4/-1 has S(1)=-1 < 0"
         )
 
-    def test_the_doslic_index_follows_the_lag(self, monkeypatch):
-        truncate(monkeypatch, "_direct_quotients", (7, 40))
+    # The delta condition at n reads x(n - 2), so a quotient stream that ends
+    # before x(k) is first missed at n = k + 2; x(58) is the last it reads.
+    @pytest.mark.parametrize("k", [5, 20, 40, 58])
+    def test_the_doslic_index_follows_the_lag(self, monkeypatch, k):
+        truncate(monkeypatch, "_direct_quotients", (7, k))
         config = VerifySweepConfig(**self.CONFIG, checks=("doslic",))
         assert run_verify_sweep(config).first_counterexample == Counterexample(
-            "doslic", 7, 42, "stream ended before n=42"
+            "doslic", 7, k + 2, f"stream ended before n={k + 2}"
         )
 
 
@@ -563,8 +583,13 @@ class TestForkedLanes:
         [subset for k in range(1, 6) for subset in itertools.combinations(CHECK_NAMES, k)],
         ids="+".join,
     )
-    def test_every_subset_of_checks(self, checks):
-        self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks))
+    @pytest.mark.parametrize("faulted", [False, True], ids=["passing", "zero-S(5)"])
+    def test_every_subset_of_checks(self, monkeypatch, checks, faulted):
+        # S(5) = 0 at m = 4 breaks all five checks (see NON_POSITIVE)
+        if faulted:
+            perturb(monkeypatch, *NON_POSITIVE[1][:3])
+        report = self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks))
+        assert [summary.passed for summary in report.summaries] == [not faulted] * len(checks)
 
     @staticmethod
     def fail_outside(monkeypatch):
@@ -636,12 +661,12 @@ class TestForkedLanes:
         truncate(monkeypatch, name, (7, (start, start + 1, 40)[cut]))
         assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
 
-    @pytest.mark.parametrize(
-        "name, at, change", [row[:3] for row in NON_POSITIVE], ids=NON_POSITIVE_IDS
-    )
-    def test_a_non_positive_value(self, monkeypatch, name, at, change):
+    @pytest.mark.parametrize("checks", **NON_POSITIVE_CHECKS)
+    @pytest.mark.parametrize("name, at, change, expected", NON_POSITIVE, ids=NON_POSITIVE_IDS)
+    def test_a_non_positive_value(self, monkeypatch, name, at, change, expected, checks):
         perturb(monkeypatch, name, at, change)
-        assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
+        report = self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks))
+        assert_non_positive_report(report, checks, at[0], expected)
 
     @staticmethod
     def in_the_child(monkeypatch, check, act):
