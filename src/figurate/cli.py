@@ -160,22 +160,17 @@ def _print_sweep_report(report: SweepReport, fmt: str) -> None:
         detail = "" if c is None else f"m={c.m} n={c.n} {c.witness}"
         rows.append((summary.check, "pass" if summary.passed else "FAIL", detail))
     if fmt == "csv":
+        # stdout is CSV rows only: a FAIL row's detail holds the counterexample
         click.echo("check,m_from,m_to,n_max,result,detail")
         for check, result, detail in rows:
             click.echo(f"{check},{config.m_from},{config.m_to},{config.n_max},{result},{detail}")
-    else:
-        m_range, n_max = f"{config.m_from}..{config.m_to}", str(config.n_max)
-        table = [("check", "m-range", "n-max", "result")]
-        table += [(check, m_range, n_max, result) for check, result, _ in rows]
-        widths = [max(map(len, column)) for column in zip(*table)]
-        for row in table:
-            click.echo("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    # csv stdout is CSV rows only: a FAIL row's detail holds the counterexample; notes go to stderr
-    for summary in report.summaries:
-        for note in summary.notes:
-            click.echo(f"note: {note}", err=fmt == "csv")
-    if fmt == "csv":
         return
+    m_range, n_max = f"{config.m_from}..{config.m_to}", str(config.n_max)
+    table = [("check", "m-range", "n-max", "result")]
+    table += [(check, m_range, n_max, result) for check, result, _ in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for row in table:
+        click.echo("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     counterexample = report.first_counterexample
     if counterexample is None:
         click.echo("all checks passed")

@@ -67,6 +67,10 @@ class BFileRecord:
     value: int
 
 
+def _over_limit() -> str:
+    return f"over {sys.get_int_max_str_digits()} digits, Python's limit for converting text to int"
+
+
 def _as_text(data: str | bytes) -> str:
     if isinstance(data, bytes):
         return data.decode("utf-8")
@@ -76,8 +80,9 @@ def _as_text(data: str | bytes) -> str:
 def parse_bfile(text: str | bytes) -> list[BFileRecord]:
     """Parse b-file text into records, enforcing the +1 index progression.
 
-    Lines beginning with '#' and blank lines are skipped. A malformed line
-    raises :class:`BFileParseError` naming the line; an index gap raises
+    Lines beginning with '#' and blank lines are skipped. A malformed line,
+    or a field longer than Python's int/str digit limit, raises
+    :class:`BFileParseError` naming the line; an index gap raises
     :class:`BFileStructureError` naming the line and the gap.
     """
     records: list[BFileRecord] = []
@@ -90,14 +95,16 @@ def parse_bfile(text: str | bytes) -> list[BFileRecord]:
             raise BFileParseError(
                 line_number, f"expected '<index> <value>', got {raw!r}"
             )
-        try:
-            if not all(map(_INTEGER_RE.match, fields)):
-                raise ValueError
-            index, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise BFileParseError(
-                line_number, f"non-integer field in {raw!r}"
-            ) from None
+        if not all(map(_INTEGER_RE.match, fields)):
+            raise BFileParseError(line_number, f"non-integer field in {raw!r}")
+        numbers = []
+        for name, field in zip(("index", "value"), fields):
+            try:
+                numbers.append(int(field))
+            except ValueError:
+                # The regex admits only digits, so int() fails only on the digit limit.
+                raise BFileParseError(line_number, f"{name} {_over_limit()}") from None
+        index, value = numbers
         if records and index != records[-1].index + 1:
             raise BFileStructureError(
                 line_number,
@@ -171,11 +178,7 @@ def parse_sequence_file(text: str | bytes) -> PositiveSequence:
             pair = int(numerator), int(denominator) if slash else 1
         except ValueError:
             # The regex admits only digits, so int() fails only on the digit limit.
-            raise SequenceParseError(
-                position,
-                f"over {sys.get_int_max_str_digits()} digits,"
-                " Python's limit for converting text to int",
-            ) from None
+            raise SequenceParseError(position, _over_limit()) from None
         if not pair[1]:
             raise SequenceParseError(position, f"zero denominator in {token!r}")
         pairs.append(pair)

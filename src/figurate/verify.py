@@ -6,14 +6,18 @@ exact counterexample, reported as (check, m, n, witness). The checks:
 * cross-formula: all five generation routes agree term-by-term;
 * bounds: 1 < x(n) <= m with x(1) = m, plus the closed-form seed values
   x(2) = 3 - 3/m and x(3) = 2 - 2/(3(m - 1));
-* monotonicity: quotients never increase (equalities are noted, not
-  assumed away) and the direct and recurrence quotient routes agree;
-* margins: every log-concavity margin is >= 0 (zero margins are noted);
+* monotonicity: quotients strictly decrease and the direct and recurrence
+  quotient routes agree;
+* margins: every log-concavity margin is > 0;
 * doslic: the Doslic criterion conditions hold on [3, n_max].
+
+Both strict conditions hold for every m >= 3 and n >= 1, so a tied quotient
+or a zero margin is a counterexample like any other.
 
 Sweeps are pure and deterministic; checks run in the canonical order above,
 each over ascending m, and a check that has failed is not evaluated for
-later m. For each m a check makes one streaming pass over n = 1..n_max
+later m. Each `_check_*` kernel takes (m, n_max) and returns its first
+counterexample at m, or None. It makes one streaming pass over n = 1..n_max
 through `core._window`, in O(1) memory per route; a stream that ends before
 n_max is a counterexample, "stream ended before n=...", at the first index it
 could not fill. Rationals are integer pairs compared by cross-multiplication
@@ -101,11 +105,15 @@ class Counterexample:
 class CheckSummary:
     check: str
     counterexample: Counterexample | None = None
-    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
         return self.counterexample is None
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Always (): kept only because bench/workloads.py and `bench/run.py --smoke` read it."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -141,9 +149,9 @@ _ROUTES = (
 )
 
 
-def _check_cross_formula(m, config, notes):
+def _check_cross_formula(m, n_max):
     """Reports the first route, in route order, that disagrees with the closed form."""
-    rows = core._window(1, config.n_max, *(getattr(core, name)(m) for _, name in _ROUTES))
+    rows = core._window(1, n_max, *(getattr(core, name)(m) for _, name in _ROUTES))
     first = {}  # route position -> (n, witness) of its first disagreement
     for anchor, alt, first_order, second_order, progression, n in rows:
         if anchor == alt == first_order == second_order == progression:
@@ -161,14 +169,14 @@ def _seed_quotients(m):
     return (m, 1), (3 * m - 3, m), (6 * m - 8, 3 * m - 3)
 
 
-def _check_bounds(m, config, notes):
+def _check_bounds(m, n_max):
     """1 < x(n) <= m and the seeds x(1..3).
 
     At the first failing n the witness is, in this order: S(n) < 0, above m,
     off its seed, not > 1. The comparisons after the first assume S(n) >= 0.
     """
     seeds = _seed_quotients(m)
-    for x, n in core._window(1, config.n_max, core._direct_quotients(m)):
+    for x, n in core._window(1, n_max, core._direct_quotients(m)):
         p, q = x
         if q < p <= m * q and n > 3:
             continue
@@ -187,51 +195,45 @@ def _check_bounds(m, config, notes):
     return None
 
 
-def _check_monotonicity(m, config, notes):
-    """The two quotient routes agree on the whole window, then the quotients never increase.
+def _check_monotonicity(m, n_max):
+    """The two quotient routes agree on the whole window, then x(n) < x(n - 1) for every n.
 
-    A disagreement anywhere outranks an earlier increase and the ties noted at
-    this m. The order is read from the reduced recurrence pairs, never from the
-    margins, so the quotient and margin routes to log-concavity stay independent.
+    A disagreement anywhere outranks an earlier tie or increase. The order is
+    read from the reduced recurrence pairs, never from the margins, so the
+    quotient and margin routes to log-concavity stay independent.
     """
-    increase = None
-    ties = []
+    step = None  # the first tie or increase
     previous = None
-    rows = core._window(1, config.n_max, core._direct_quotients(m), core._recurrence_quotients(m))
+    rows = core._window(1, n_max, core._direct_quotients(m), core._recurrence_quotients(m))
     for direct, recurred, n in rows:
         (a, b), (p, q) = direct, recurred
         if a * q != p * b:
             witness = f"direct={_ratio_text(*direct)} recurrence={_ratio_text(*recurred)}"
             return Counterexample("monotonicity", m, n, witness)
-        if increase is None and previous is not None and p * previous[1] >= previous[0] * q:
-            # x(n) >= x(n - 1): an increase, or a tie that is noted
-            if _compare(recurred, previous) > 0:
-                witness = f"x({n - 1})={_ratio_text(*previous)} < x({n})={_ratio_text(*recurred)}"
-                increase = Counterexample("monotonicity", m, n, witness)
-            else:
-                ties.append(f"equality x({n - 1}) = x({n}) = {_ratio_text(*recurred)} at m={m}")
+        if step is None and previous is not None and p * previous[1] >= previous[0] * q:
+            relation = "<" if p * previous[1] > previous[0] * q else "="
+            before, after = _ratio_text(*previous), _ratio_text(*recurred)
+            witness = f"x({n - 1})={before} {relation} x({n})={after}"
+            step = Counterexample("monotonicity", m, n, witness)
         previous = recurred
-    notes.extend(ties)
-    return increase
+    return step
 
 
-def _check_margins(m, config, notes):
-    """S(j)^2 - S(j-1) S(j+1) >= 0 for j = 2..n_max-1; zero margins are noted."""
-    rows = core._window(1, config.n_max, core._closed_form_terms(m))
+def _check_margins(m, n_max):
+    """S(j)^2 - S(j-1) S(j+1) > 0 for j = 2..n_max-1."""
+    rows = core._window(1, n_max, core._closed_form_terms(m))
     (older, _), (old, _) = next(rows), next(rows)  # n_max >= 3, and a short stream raises
     for term, n in rows:
         margin = old * old - older * term
         if margin <= 0:
-            if margin < 0:
-                return Counterexample("margins", m, n - 1, f"margin={margin}")
-            notes.append(f"zero margin at m={m} j={n - 1}")
+            return Counterexample("margins", m, n - 1, f"margin={margin}")
         older, old = old, term
     return None
 
 
-def _check_doslic(m, config, notes):
+def _check_doslic(m, n_max):
     """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
-    report = check_doslic_criterion(m, 3, config.n_max)
+    report = check_doslic_criterion(m, 3, n_max)
     conditions = (
         (report.r_nonneg, "R(n) < 0"),
         (report.t_nonpos, "T(n) > 0"),
@@ -266,15 +268,14 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
     for check in config.checks:
         function = _CHECK_FUNCTIONS[check]
         counterexample = None
-        notes: list[str] = []
         for m in range(config.m_from, config.m_to + 1):
             try:
-                counterexample = function(m, config, notes)
+                counterexample = function(m, config.n_max)
             except core._StreamEnded as ended:
                 counterexample = Counterexample(check, m, ended.n, str(ended))
             if counterexample is not None:
                 break
-        summaries.append(CheckSummary(check, counterexample, tuple(notes)))
+        summaries.append(CheckSummary(check, counterexample))
     return SweepReport(config, tuple(summaries))
 
 
@@ -316,8 +317,8 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
             sink.close()
             own = run_verify_sweep(replace(config, checks=lanes[0])).summaries
             child = tuple(
-                CheckSummary(check, None if found is None else Counterexample(*found), notes)
-                for check, found, notes in marshal.load(source)
+                CheckSummary(check, None if found is None else Counterexample(*found))
+                for check, found in marshal.load(source)
             )
     except Exception:
         pass  # child stays None

@@ -1,4 +1,4 @@
-"""Fault injection for tests: change or cut short a `figurate.core` generator.
+"""Fault injection for tests: change, cut short or replace a `figurate.core` generator.
 
 Every check reads its streams by looking the generator up on `figurate.core`
 when it calls it, so one replaced attribute there reaches every check (and
@@ -63,3 +63,16 @@ def truncate(monkeypatch, name, at):
         m_at,
         lambda values, start: itertools.islice(values, max(n_at - start, 0)),
     )
+
+
+def substitute(monkeypatch, name, m_at, stream):
+    """Replace `figurate.core.<name>` so that at m_at it yields stream(start) instead.
+
+    start is the index of the stream's first value, as for `_replace`.
+    """
+    _replace(monkeypatch, name, m_at, lambda values, start: stream(start))
+
+
+def geometric(start):
+    """S(n) = 2^(n - 1) for n = start, start + 1, ...: every margin is 0 and every quotient 2."""
+    return (2 ** (n - 1) for n in itertools.count(start))

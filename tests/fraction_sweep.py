@@ -2,8 +2,11 @@
 
 The _check_* functions, the sweep loop and the Doslic criterion below are
 the former figurate.verify and figurate.logbehavior code, kept verbatim
-(the criterion renamed to fraction_doslic_criterion). Every condition is decided on Fractions, and
-each check builds full lists of length n_max and runs its own loop over m.
+(the criterion renamed to fraction_doslic_criterion) except that, as in
+figurate.verify now, the checks are strict: a zero margin or a tied quotient
+is a counterexample, and a summary carries no notes. Every condition is
+decided on Fractions, and each check builds full lists of length n_max and
+runs its own loop over m.
 tests/test_verify.py requires run_fraction_sweep and
 figurate.verify.run_verify_sweep to return identical SweepReports.
 """
@@ -46,8 +49,8 @@ def _check_cross_formula(m, config, corrupt_at):
         for n in range(1, n_max + 1):
             if values[n - 1] != anchor[n - 1]:
                 witness = f"{anchor_name}={anchor[n - 1]} {name}={values[n - 1]}"
-                return Counterexample("cross-formula", m, n, witness), []
-    return None, []
+                return Counterexample("cross-formula", m, n, witness)
+    return None
 
 
 def _check_bounds(m, config, corrupt_at):
@@ -70,36 +73,30 @@ def _check_bounds(m, config, corrupt_at):
             violations.append((n, f"x({n})={quotients[n - 1]} expected {expected}"))
     if violations:
         n, witness = min(violations)
-        return Counterexample("bounds", m, n, witness), []
-    return None, []
+        return Counterexample("bounds", m, n, witness)
+    return None
 
 
 def _check_monotonicity(m, config, corrupt_at):
     direct = quotient_direct(m, config.n_max)
     recurred = quotient_recurrence(m, config.n_max)
-    notes = []
     for n in range(1, config.n_max + 1):
         if direct[n - 1] != recurred[n - 1]:
             witness = f"direct={direct[n - 1]} recurrence={recurred[n - 1]}"
-            return Counterexample("monotonicity", m, n, witness), notes
+            return Counterexample("monotonicity", m, n, witness)
     for n in range(1, config.n_max):
-        if direct[n] > direct[n - 1]:
-            witness = f"x({n})={direct[n - 1]} < x({n + 1})={direct[n]}"
-            return Counterexample("monotonicity", m, n + 1, witness), notes
-        if direct[n] == direct[n - 1]:
-            notes.append(f"equality x({n}) = x({n + 1}) = {direct[n]} at m={m}")
-    return None, notes
+        if direct[n] >= direct[n - 1]:
+            relation = "<" if direct[n] > direct[n - 1] else "="
+            witness = f"x({n})={direct[n - 1]} {relation} x({n + 1})={direct[n]}"
+            return Counterexample("monotonicity", m, n + 1, witness)
+    return None
 
 
 def _check_margins(m, config, corrupt_at):
-    notes = []
     for position, margin in enumerate(margin_sequence(m, config.n_max)):
-        j = position + 2
-        if margin < 0:
-            return Counterexample("margins", m, j, f"margin={margin}"), notes
-        if margin == 0:
-            notes.append(f"zero margin at m={m} j={j}")
-    return None, notes
+        if margin <= 0:
+            return Counterexample("margins", m, position + 2, f"margin={margin}")
+    return None
 
 
 def fraction_doslic_criterion(m, n_start, n_end, *, r_of=None, t_of=None):
@@ -141,7 +138,7 @@ def _quotient(m, n):
 def _check_doslic(m, config, corrupt_at):
     report = fraction_doslic_criterion(m, 3, config.n_max)
     if report.verdict:
-        return None, []
+        return None
     if not report.r_nonneg.ok:
         n, witness = report.r_nonneg.first_failure, "R(n) < 0"
     elif not report.t_nonpos.ok:
@@ -151,7 +148,7 @@ def _check_doslic(m, config, corrupt_at):
     else:
         n = report.delta_condition.first_failure
         witness = "dR(n)x(n-2) + dT(n) > 0"
-    return Counterexample("doslic", m, n, witness), []
+    return Counterexample("doslic", m, n, witness)
 
 
 _CHECK_FUNCTIONS = {
@@ -168,11 +165,9 @@ def run_fraction_sweep(config: VerifySweepConfig, corrupt_at=None) -> SweepRepor
     for check in config.checks:
         function = _CHECK_FUNCTIONS[check]
         counterexample = None
-        notes: list[str] = []
         for m in range(config.m_from, config.m_to + 1):
-            counterexample, m_notes = function(m, config, corrupt_at)
-            notes.extend(m_notes)
+            counterexample = function(m, config, corrupt_at)
             if counterexample is not None:
                 break
-        summaries.append(CheckSummary(check, counterexample, tuple(notes)))
+        summaries.append(CheckSummary(check, counterexample))
     return SweepReport(config, tuple(summaries))

@@ -12,7 +12,7 @@ from figurate import verify
 from figurate.cli import cli
 from figurate.core import closed_form
 from figurate.seqio import emit_csv, parse_bfile
-from faults import perturb, truncate
+from faults import geometric, perturb, substitute, truncate
 
 
 @pytest.fixture
@@ -203,12 +203,30 @@ class TestVerify:
             "cross-formula", "3", "6", "50", "FAIL", "m=4 n=7 closed-form=49 first-order=50"
         ]
 
-    def test_csv_notes_go_to_stderr(self, runner, monkeypatch):
+    def test_csv_zero_margin_is_a_counterexample(self, runner, monkeypatch):
+        # S(4, 5) - 1 = 27 = sqrt(S(4, 4) S(4, 6)) = sqrt(16 * 36)
         perturb(monkeypatch, "_closed_form_terms", (4, 5), lambda term: term - 1)
         result = runner.invoke(cli, self.NARROW + ["--format", "csv", "--checks", "margins"])
-        assert result.exit_code == 0
-        assert result.stdout == "check,m_from,m_to,n_max,result,detail\nmargins,3,6,50,pass,\n"
-        assert result.stderr == "note: zero margin at m=4 j=5\n"
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "check,m_from,m_to,n_max,result,detail\nmargins,3,6,50,FAIL,m=4 n=5 margin=0\n"
+        )
+        assert result.stderr == ""
+
+    def test_a_geometric_stream_gives_a_report_of_fixed_size(self, runner, monkeypatch):
+        # every margin of S(n) = 2^(n - 1) is 0; the report names the first and stops
+        substitute(monkeypatch, "_closed_form_terms", 3, geometric)
+        outputs = []
+        for n_max in ("50", "2000"):
+            result = runner.invoke(cli, ["verify", "--n-max", n_max])
+            assert result.exit_code == 1
+            assert result.stderr == ""
+            outputs.append(result.stdout.splitlines())
+        assert len(outputs[0]) == len(outputs[1]) == 7
+        assert outputs[1][-1] == (
+            "counterexample: check=cross-formula m=3 n=2 closed-form=2 alt-form=3"
+        )
+        assert outputs[1][4].split() == ["margins", "3..50", "2000", "FAIL"]
 
     def test_check_subset_runs_in_canonical_order(self, runner):
         result = runner.invoke(
@@ -276,7 +294,7 @@ class TestVerify:
     def test_margins_runs_in_a_forked_child(self, runner, monkeypatch):
         parent = os.getpid()
 
-        def stand_in(m, config, notes):
+        def stand_in(m, n_max):
             if os.getpid() == parent:
                 return None
             return verify.Counterexample("margins", m, 1, "in a child")

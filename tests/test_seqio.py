@@ -18,6 +18,8 @@ from figurate.seqio import (
     parse_sequence_file,
 )
 
+OVER_LIMIT = "over 4300 digits, Python's limit for converting text to int"
+
 
 class TestParseBFile:
     def test_basic(self):
@@ -61,13 +63,30 @@ class TestParseBFile:
             parse_bfile("1 1.5\n")
 
     @pytest.mark.parametrize(
-        "line",
-        ["1_0 5", "1 1_0", "\u0661 5", "1 \u0663", "1 -\uff15"],
-        ids=["underscore-index", "underscore-value", "arabic-index", "arabic-value", "fullwidth"],
+        "line, message",
+        [
+            ("1_0 5", "non-integer field"),
+            ("1 1_0", "non-integer field"),
+            ("\u0661 5", "non-integer field"),
+            ("1 \u0663", "non-integer field"),
+            ("1 -\uff15", "non-integer field"),
+            ("9" * 5000 + " 1", f"index {OVER_LIMIT}$"),
+            ("1 " + "9" * 5000, f"value {OVER_LIMIT}$"),
+        ],
+        ids=[
+            "underscore-index",
+            "underscore-value",
+            "arabic-index",
+            "arabic-value",
+            "fullwidth",
+            "index-over-digit-limit",
+            "value-over-digit-limit",
+        ],
     )
-    def test_only_ascii_digits_make_an_integer(self, line):
-        # int() alone accepts each of these fields
-        with pytest.raises(BFileParseError, match="^line 2: non-integer field") as excinfo:
+    def test_only_ascii_digits_make_an_integer(self, line, message):
+        # int() alone accepts each of the first five fields; the last two are
+        # ASCII digits, but too many for int(), named without the line's text
+        with pytest.raises(BFileParseError, match=f"^line 2: {message}") as excinfo:
             parse_bfile(f"# header\n{line}\n")
         assert excinfo.value.line_number == 2
 

@@ -7,6 +7,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from figurate.verify import (
     _seed_quotients,
     run_verify_sweep,
 )
-from faults import perturb, truncate
+from faults import geometric, perturb, substitute, truncate
 from fraction_sweep import run_fraction_sweep
 
 
@@ -94,7 +95,6 @@ class TestSweep:
         for summary in report.summaries:
             assert summary.passed
             assert summary.counterexample is None
-            assert summary.notes == ()
 
     @pytest.mark.parametrize("config", [{"m_to": 4}, "bounds", VerifySweepConfig])
     def test_rejects_anything_but_a_config_or_none_naming_its_type(self, config):
@@ -113,11 +113,13 @@ class TestSweep:
 
     def test_a_summary_has_no_passed_field(self):
         names = [field.name for field in dataclasses.fields(CheckSummary)]
-        assert names == ["check", "counterexample", "notes"]
+        assert names == ["check", "counterexample"]
         with pytest.raises(TypeError):
-            CheckSummary("bounds", True, None, ())
-        with pytest.raises(TypeError):
-            CheckSummary("bounds", passed=True)
+            CheckSummary("bounds", None, ())
+        for name in ("passed", "notes"):
+            with pytest.raises(TypeError):
+                CheckSummary("bounds", **{name: True})
+        assert CheckSummary("bounds").notes == ()
 
     def test_summary_lookup(self):
         report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
@@ -162,14 +164,8 @@ def fixed(values):
     return lambda m: iter(values)
 
 
-def run_check(check, m, config):
-    """A `_check_*` function's counterexample at m and the notes it appended."""
-    notes = []
-    return check(m, config, notes), notes
-
-
 class TestCheckFunctions:
-    """Failure order, witnesses and notes on crafted streams that real terms never produce.
+    """Failure order and witnesses on crafted streams that real terms never produce.
 
     Each n_max is at most the length of the crafted streams: a stream that ends
     before n_max is a counterexample of its own.
@@ -187,9 +183,8 @@ class TestCheckFunctions:
         ]
         for (_, name), column in zip(verify._ROUTES, zip(*terms)):
             monkeypatch.setattr(core, name, fixed(column))
-        assert run_check(verify._check_cross_formula, 3, VerifySweepConfig(n_max=5)) == (
-            Counterexample("cross-formula", 3, 4, "closed-form=10 alt-form=9"),
-            [],
+        assert verify._check_cross_formula(3, 5) == Counterexample(
+            "cross-formula", 3, 4, "closed-form=10 alt-form=9"
         )
 
     @pytest.mark.parametrize(
@@ -206,22 +201,24 @@ class TestCheckFunctions:
     )
     def test_bounds(self, monkeypatch, direct, expected):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        assert run_check(verify._check_bounds, 5, VerifySweepConfig(n_max=10)) == (
-            Counterexample("bounds", 5, *expected),
-            [],
-        )
+        assert verify._check_bounds(5, 10) == Counterexample("bounds", 5, *expected)
 
-    def test_monotonicity_notes_equal_steps_and_stops_at_an_increase(self, monkeypatch):
+    def test_monotonicity_stops_at_the_first_tie_or_increase(self, monkeypatch):
         direct = [(4, 1), (18, 8), (9, 4), (2, 1), (3, 1)]
         recurred = [(4, 1), (9, 4), (9, 4), (2, 1), (3, 1)]
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
         monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred))
-        assert run_check(verify._check_monotonicity, 4, VerifySweepConfig(n_max=5)) == (
-            Counterexample("monotonicity", 4, 5, "x(4)=2 < x(5)=3"),
-            ["equality x(2) = x(3) = 9/4 at m=4"],
+        assert verify._check_monotonicity(4, 5) == Counterexample(
+            "monotonicity", 4, 3, "x(2)=9/4 = x(3)=9/4"
         )
-        # a disagreement of the two routes anywhere, either way round, outranks the
-        # increase and drops the notes
+        # without the tie, the increase after it is the counterexample
+        monkeypatch.setattr(core, "_direct_quotients", fixed(direct[:2] + direct[3:]))
+        monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred[:2] + recurred[3:]))
+        assert verify._check_monotonicity(4, 4) == Counterexample(
+            "monotonicity", 4, 4, "x(3)=2 < x(4)=3"
+        )
+        # a disagreement of the two routes anywhere, either way round, outranks
+        # the tie and the increase
         mismatches = [
             ((5, 4), (6, 5), "direct=5/4 recurrence=6/5"),
             ((6, 5), (5, 4), "direct=6/5 recurrence=5/4"),
@@ -229,17 +226,16 @@ class TestCheckFunctions:
         for x, y, witness in mismatches:
             monkeypatch.setattr(core, "_direct_quotients", fixed(direct + [x]))
             monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred + [y]))
-            assert run_check(verify._check_monotonicity, 4, VerifySweepConfig(n_max=6)) == (
-                Counterexample("monotonicity", 4, 6, witness),
-                [],
-            )
+            assert verify._check_monotonicity(4, 6) == Counterexample("monotonicity", 4, 6, witness)
 
-    def test_margins(self, monkeypatch):
-        monkeypatch.setattr(core, "_closed_form_terms", fixed([1, 2, 4, 7, 20, 21]))
-        assert run_check(verify._check_margins, 3, VerifySweepConfig(n_max=10)) == (
-            Counterexample("margins", 3, 4, "margin=-31"),
-            ["zero margin at m=3 j=2"],
-        )
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [([1, 2, 4, 7, 20, 21], (2, "margin=0")), ([1, 3, 6, 7, 20, 21], (4, "margin=-71"))],
+        ids=["zero", "negative"],
+    )
+    def test_margins(self, monkeypatch, terms, expected):
+        monkeypatch.setattr(core, "_closed_form_terms", fixed(terms))
+        assert verify._check_margins(3, 6) == Counterexample("margins", 3, *expected)
 
     # At m = 3, dR(n)x + dT(n) > 0 exactly when x < 1, for every n. The delta
     # condition reads x(1), x(2), x(3) at n = 3, 4, 5, and of those only the
@@ -255,9 +251,8 @@ class TestCheckFunctions:
     )
     def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch, direct, n):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        assert run_check(verify._check_doslic, 3, VerifySweepConfig(n_max=5)) == (
-            Counterexample("doslic", 3, n, "dR(n)x(n-2) + dT(n) > 0"),
-            [],
+        assert verify._check_doslic(3, 5) == Counterexample(
+            "doslic", 3, n, "dR(n)x(n-2) + dT(n) > 0"
         )
 
     @pytest.mark.parametrize(
@@ -335,16 +330,15 @@ TRUNCATIONS = {
 
 DELTA = "dR(n)x(n-2) + dT(n) > 0"
 
-# A zero or negative value put into a core stream at (m, n): each check that it
-# breaks names the index at which it reads it; every other check passes.
-# (stream, (m, n), change, {check: (n, witness)})
+# A zero or negative value put into a core stream at (m, n), or a whole stream
+# replaced at m: each check that it breaks names the index at which it reads it;
+# every other check passes. (fault(monkeypatch), m, {check: (n, witness)})
 # A margin is defined for any integers: S(n) = 0 breaks the margin after it,
 # -S(n) none, and a zero S(1) leaves the first margin S(2)^2 > 0.
 NON_POSITIVE = [
     (
-        "_closed_form_terms",
-        (4, 1),
-        lambda s: 0,
+        partial(perturb, name="_closed_form_terms", at=(4, 1), change=lambda s: 0),
+        4,
         {
             "cross-formula": (1, "closed-form=0 alt-form=1"),
             "bounds": (1, "x(1)=4/0 exceeds m=4"),
@@ -353,9 +347,8 @@ NON_POSITIVE = [
         },
     ),
     (
-        "_closed_form_terms",
-        (7, 5),
-        lambda s: 0,
+        partial(perturb, name="_closed_form_terms", at=(7, 5), change=lambda s: 0),
+        7,
         {
             "cross-formula": (5, "closed-form=0 alt-form=55"),
             "bounds": (4, "x(4)=0 is not > 1"),
@@ -365,9 +358,8 @@ NON_POSITIVE = [
         },
     ),
     (
-        "_closed_form_terms",
-        (7, 5),
-        lambda s: -s,
+        partial(perturb, name="_closed_form_terms", at=(7, 5), change=lambda s: -s),
+        7,
         {
             "cross-formula": (5, "closed-form=-55 alt-form=55"),
             "bounds": (4, "x(4)=-55/34 is not > 1"),
@@ -376,9 +368,8 @@ NON_POSITIVE = [
         },
     ),
     (
-        "_direct_quotients",
-        (7, 5),
-        lambda x: (x[0], 0),
+        partial(perturb, name="_direct_quotients", at=(7, 5), change=lambda x: (x[0], 0)),
+        7,
         {
             "bounds": (5, "x(5)=81/0 exceeds m=7"),
             "monotonicity": (5, "direct=81/0 recurrence=81/55"),
@@ -386,9 +377,8 @@ NON_POSITIVE = [
         },
     ),
     (
-        "_direct_quotients",
-        (7, 5),
-        lambda x: (x[0], -x[1]),
+        partial(perturb, name="_direct_quotients", at=(7, 5), change=lambda x: (x[0], -x[1])),
+        7,
         {
             "bounds": (5, "x(5)=81/-55 has S(5)=-55 < 0"),
             "monotonicity": (5, "direct=-81/55 recurrence=81/55"),
@@ -396,18 +386,30 @@ NON_POSITIVE = [
         },
     ),
     (
-        "_recurrence_quotients",
-        (7, 5),
-        lambda x: (x[0], 0),
+        partial(perturb, name="_recurrence_quotients", at=(7, 5), change=lambda x: (x[0], 0)),
+        7,
         {"monotonicity": (5, "direct=81/55 recurrence=81/0")},
     ),
     (
-        "_recurrence_quotients",
-        (7, 5),
-        lambda x: (x[0], -x[1]),
+        partial(perturb, name="_recurrence_quotients", at=(7, 5), change=lambda x: (x[0], -x[1])),
+        7,
         {"monotonicity": (5, "direct=81/55 recurrence=-81/55")},
     ),
+    # a log-linear stream: the margins route must fail on the first zero margin,
+    # where the quotient routes disagree; the Doslic conditions hold for x(n) = 2
+    (
+        partial(substitute, name="_closed_form_terms", m_at=3, stream=geometric),
+        3,
+        {
+            "cross-formula": (2, "closed-form=2 alt-form=3"),
+            "bounds": (1, "x(1)=2 expected 3"),
+            "monotonicity": (1, "direct=2 recurrence=3"),
+            "margins": (2, "margin=0"),
+        },
+    ),
 ]
+
+
 NON_POSITIVE_CHECKS = dict(
     argvalues=[(check,) for check in CHECK_NAMES] + [CHECK_NAMES], ids=[*CHECK_NAMES, "all"]
 )
@@ -419,6 +421,7 @@ NON_POSITIVE_IDS = [
     "direct-over-negative",
     "recurrence-over-0",
     "recurrence-over-negative",
+    "geometric",
 ]
 
 
@@ -510,13 +513,11 @@ class TestFaultsThroughTheSeam:
         assert run_verify_sweep(VerifySweepConfig(**self.CONFIG)).passed
 
     @pytest.mark.parametrize("checks", **NON_POSITIVE_CHECKS)
-    @pytest.mark.parametrize("name, at, change, expected", NON_POSITIVE, ids=NON_POSITIVE_IDS)
-    def test_a_non_positive_value_is_a_counterexample(
-        self, monkeypatch, name, at, change, expected, checks
-    ):
-        perturb(monkeypatch, name, at, change)
+    @pytest.mark.parametrize("fault, m, expected", NON_POSITIVE, ids=NON_POSITIVE_IDS)
+    def test_a_non_positive_value_is_a_counterexample(self, monkeypatch, fault, m, expected, checks):
+        fault(monkeypatch)
         report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=checks))
-        assert_non_positive_report(report, checks, at[0], expected)
+        assert_non_positive_report(report, checks, m, expected)
 
     @pytest.mark.parametrize(
         "change", [lambda x: (x[0], 0), lambda x: (x[0], -x[1])], ids=["over-0", "over-negative"]
@@ -585,22 +586,21 @@ class TestForkedLanes:
     )
     @pytest.mark.parametrize("faulted", [False, True], ids=["passing", "zero-S(5)"])
     def test_every_subset_of_checks(self, monkeypatch, checks, faulted):
-        # S(5) = 0 at m = 4 breaks all five checks (see NON_POSITIVE)
+        # S(5) = 0 at m = 7 breaks all five checks (see NON_POSITIVE)
         if faulted:
-            perturb(monkeypatch, *NON_POSITIVE[1][:3])
+            NON_POSITIVE[1][0](monkeypatch)
         report = self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks))
         assert [summary.passed for summary in report.summaries] == [not faulted] * len(checks)
 
     @staticmethod
     def fail_outside(monkeypatch):
-        """Make every check fail, with a note, only where it runs outside this process."""
+        """Make every check fail only where it runs outside this process."""
         parent = os.getpid()
 
         def elsewhere(check):
-            def stand_in(m, config, notes):
+            def stand_in(m, n_max):
                 if os.getpid() == parent:
                     return None
-                notes.append(f"ran in a child at m={m}")
                 return Counterexample(check, m, 1, "ran in a child")
 
             return stand_in
@@ -616,7 +616,7 @@ class TestForkedLanes:
         ]
         for check in verify._CHILD_LANE:
             assert report.summary_for(check) == verify.CheckSummary(
-                check, Counterexample(check, 3, 1, "ran in a child"), ("ran in a child at m=3",)
+                check, Counterexample(check, 3, 1, "ran in a child")
             )
 
     @pytest.mark.parametrize("checks", [verify._CHILD_LANE, ("cross-formula", "doslic")])
@@ -662,11 +662,11 @@ class TestForkedLanes:
         assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
 
     @pytest.mark.parametrize("checks", **NON_POSITIVE_CHECKS)
-    @pytest.mark.parametrize("name, at, change, expected", NON_POSITIVE, ids=NON_POSITIVE_IDS)
-    def test_a_non_positive_value(self, monkeypatch, name, at, change, expected, checks):
-        perturb(monkeypatch, name, at, change)
+    @pytest.mark.parametrize("fault, m, expected", NON_POSITIVE, ids=NON_POSITIVE_IDS)
+    def test_a_non_positive_value(self, monkeypatch, fault, m, expected, checks):
+        fault(monkeypatch)
         report = self.assert_serial(VerifySweepConfig(**self.CONFIG, checks=checks))
-        assert_non_positive_report(report, checks, at[0], expected)
+        assert_non_positive_report(report, checks, m, expected)
 
     @staticmethod
     def in_the_child(monkeypatch, check, act):
@@ -674,10 +674,10 @@ class TestForkedLanes:
         parent = os.getpid()
         real = verify._CHECK_FUNCTIONS[check]
 
-        def stand_in(m, config, notes):
+        def stand_in(m, n_max):
             if os.getpid() != parent:
                 act()
-            return real(m, config, notes)
+            return real(m, n_max)
 
         monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, stand_in)
 
@@ -710,7 +710,7 @@ class TestForkedLanes:
     )
     def test_an_exception_is_the_one_a_serial_run_raises(self, monkeypatch, raising, first):
         def stand_in(check):
-            def raise_it(m, config, notes):
+            def raise_it(m, n_max):
                 raise core.InvariantViolation(f"{check} at m={m}")
 
             return raise_it
@@ -724,7 +724,7 @@ class TestForkedLanes:
             verify._run_forked(config)
 
     def test_an_interrupt_in_the_parent_kills_the_child(self, monkeypatch):
-        def interrupt(m, config, notes):
+        def interrupt(m, n_max):
             raise KeyboardInterrupt
 
         self.in_the_child(monkeypatch, "bounds", lambda: time.sleep(60))  # unless it is killed
