@@ -10,21 +10,23 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Iterator
 
 import click
 
 from figurate import core
-from figurate.core import generate_first_order
 from figurate.logbehavior import (
     LogBehavior,
     classify_log_behavior,
     quotient_monotonicity,
 )
-from figurate.seqio import emit_bfile, emit_csv, parse_sequence_file
+from figurate.seqio import parse_sequence_file
 from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, _run_forked
 
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+# Terms that gen and quotients render and write per click.echo call
+_BLOCK_TERMS = 4096
 
 @click.group()
 def cli():
@@ -44,13 +46,8 @@ def cli():
 )
 def gen(m: int, count: int, fmt: str):
     """Print the first COUNT m-gonal figurate numbers."""
-    terms = generate_first_order(m, count)
-    if fmt == "plain":
-        click.echo(" ".join(str(term) for term in terms))
-    elif fmt == "bfile":
-        click.echo(emit_bfile(1, terms), nl=False)
-    else:
-        click.echo(emit_csv({"n": list(range(1, count + 1)), "S": terms}), nl=False)
+    terms = itertools.islice(core._first_order_terms(m), count)
+    _echo_terms(map(str, terms), fmt, "S")
 
 
 @cli.command()
@@ -68,15 +65,32 @@ def quotients(m: int, count: int, fmt: str):
     """Print the exact quotients x(n) = S(n+1)/S(n) for n = 1..COUNT."""
     if fmt == "bfile":
         raise click.UsageError("b-file records hold integers; quotients are rationals")
-    values = [
-        core._ratio_text(p, q) for p, q in itertools.islice(core._direct_quotients(m), count)
-    ]
+    quotients = itertools.islice(core._direct_quotients(m), count)
+    _echo_terms(itertools.starmap(core._ratio_text, quotients), fmt, "x")
+
+
+def _echo_terms(texts: Iterator[str], fmt: str, column: str) -> None:
+    """Write rendered terms n = 1, 2, ... in a format, _BLOCK_TERMS at a time.
+
+    The output is byte for byte the one string for all terms: the plain
+    line joined by spaces, what emit_bfile writes, or what emit_csv writes
+    with the columns "n" and `column`.
+    """
+    if fmt == "csv":
+        click.echo(f"n,{column}")
+    separator = " " if fmt == "bfile" else ","
+    lead = ""
+    first = 1
+    while block := list(itertools.islice(texts, _BLOCK_TERMS)):
+        if fmt == "plain":
+            click.echo(lead + " ".join(block), nl=False)
+            lead = " "
+        else:
+            rows = (f"{n}{separator}{text}\n" for n, text in enumerate(block, start=first))
+            click.echo("".join(rows), nl=False)
+        first += len(block)
     if fmt == "plain":
-        click.echo(" ".join(values))
-    else:
-        # the CSV that emit_csv writes for these values as Fractions
-        rows = "".join(f"{n},{value}\n" for n, value in enumerate(values, start=1))
-        click.echo(f"n,x\n{rows}", nl=False)
+        click.echo()
 
 
 @cli.command()
@@ -90,7 +104,7 @@ def quotients(m: int, count: int, fmt: str):
 def analyze(source):
     """Classify a positive sequence as log-concave, log-convex, geometric, or neither."""
     try:
-        sequence = parse_sequence_file(source.read())
+        sequence = parse_sequence_file(source)
     except ValueError as error:
         click.echo(f"error: {error}", err=True)
         sys.exit(EXIT_USAGE)

@@ -8,15 +8,20 @@ Formats are deliberately rigid so that emitted files are bit-exact:
   lowest terms, never decimal expansions;
 * sequence file: whitespace-separated integers or "p/q" rationals;
 * every number read is ASCII digits with an optional sign, no "_" separators.
+
+A sequence file may be given as a str, as bytes or as an open text file. It
+is read in chunks of a fixed size and parsed token by token, so the memory it
+takes grows with the integers kept, not with the text or its token count.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 from figurate.core import _is_int
 from figurate.logbehavior import PositiveSequence
@@ -35,6 +40,8 @@ __all__ = [
 # ASCII digits only: int() alone would also take "1_0" and non-ASCII digits such as "\u0663"
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _TOKEN_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+# Characters taken at a time from a sequence file: a slice of a str, or one read() of a stream
+_READ_SIZE = 1 << 16
 
 
 class BFileParseError(ValueError):
@@ -114,25 +121,27 @@ def parse_bfile(text: str | bytes) -> list[BFileRecord]:
     return records
 
 
-def emit_bfile(offset: int, values: Sequence[int]) -> str:
+def emit_bfile(offset: int, values: Iterable[int]) -> str:
     """Render values as b-file text, indices starting at `offset`.
 
     Round-trips through :func:`parse_bfile`, so the offset and every value
     must be an int (not a bool); anything else raises TypeError, naming the
-    1-based position of a bad value.
+    1-based position of a bad value. The values are read once, so an
+    iterator serves; none at all raises ValueError.
     """
     if not _is_int(offset):
         raise TypeError(f"b-file offset must be an int, got {type(offset).__name__}")
-    if not values:
-        raise ValueError("cannot emit an empty b-file")
-    for position, value in enumerate(values, start=1):
+    lines = []
+    for index, value in enumerate(values, start=offset):
         if not _is_int(value):
             raise TypeError(
-                f"b-file value {position} is a {type(value).__name__}; only ints are accepted"
+                f"b-file value {index - offset + 1} is a {type(value).__name__}; "
+                "only ints are accepted"
             )
-    return "".join(
-        f"{offset + position} {value}\n" for position, value in enumerate(values)
-    )
+        lines.append(f"{index} {value}\n")
+    if not lines:
+        raise ValueError("cannot emit an empty b-file")
+    return "".join(lines)
 
 
 def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
@@ -160,26 +169,68 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_sequence_file(text: str | bytes) -> PositiveSequence:
+def parse_sequence_file(source: str | bytes | TextIO) -> PositiveSequence:
     """Parse whitespace-separated integers or "p/q" rationals.
 
-    Each token becomes an integer pair (p, q), not reduced. An unparseable
-    token, a zero denominator, or a number longer than Python's int/str
-    digit limit (4300 digits by default) raises :class:`SequenceParseError`
-    with its 1-based position. Only then is a non-positive term rejected by
+    `source` is the text, as a str or UTF-8 bytes, or a text file object
+    open for reading, which is read to its end in chunks. Each token becomes
+    an integer numerator and denominator, not reduced. An unparseable token,
+    a zero denominator, or a number longer than Python's int/str digit limit
+    (4300 digits by default) raises :class:`SequenceParseError` with its
+    1-based position. Only then is a non-positive term rejected by
     :class:`~figurate.logbehavior.PositiveSequence`, with its position named.
+    A stream whose read() returns bytes raises TypeError.
     """
-    pairs: list[tuple[int, int]] = []
-    for position, token in enumerate(_as_text(text).split(), start=1):
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for position, token in enumerate(_tokens(_chunks(source)), start=1):
         if not _TOKEN_RE.match(token):
             raise SequenceParseError(position, f"cannot parse {token!r}")
         numerator, slash, denominator = token.partition("/")
         try:
-            pair = int(numerator), int(denominator) if slash else 1
+            numerators.append(int(numerator))
+            denominators.append(int(denominator) if slash else 1)
         except ValueError:
             # The regex admits only digits, so int() fails only on the digit limit.
             raise SequenceParseError(position, _over_limit()) from None
-        if not pair[1]:
+        if not denominators[-1]:
             raise SequenceParseError(position, f"zero denominator in {token!r}")
-        pairs.append(pair)
-    return PositiveSequence._from_pairs(pairs)
+    return PositiveSequence._from_pairs(zip(numerators, denominators))
+
+
+def _chunks(source: str | bytes | TextIO) -> Iterator[str]:
+    """The text of a sequence file in non-empty pieces of at most _READ_SIZE characters."""
+    if isinstance(source, (str, bytes)):
+        text = _as_text(source)
+        for start in range(0, len(text), _READ_SIZE):
+            yield text[start : start + _READ_SIZE]
+        return
+    while chunk := source.read(_READ_SIZE):
+        if not isinstance(chunk, str):
+            raise TypeError(
+                f"a sequence file must be open in text mode; read() returned {type(chunk).__name__}"
+            )
+        yield chunk
+
+
+def _tokens(chunks: Iterable[str]) -> Iterator[str]:
+    """The whitespace-separated tokens of text given in non-empty chunks.
+
+    A token that a chunk edge cuts is kept as a list of its parts and joined
+    once it ends, so a long token costs time linear in its length.
+    """
+    cut: list[str] = []  # the parts read so far of a token that runs over a chunk edge
+    for chunk in chunks:
+        tokens = chunk.split()
+        if cut:
+            if not chunk[0].isspace():
+                cut.append(tokens.pop(0))
+                if not tokens and not chunk[-1].isspace():
+                    continue  # the whole chunk lies inside the token
+            yield "".join(cut)
+            cut = []
+        if tokens and not chunk[-1].isspace():
+            cut.append(tokens.pop())
+        yield from tokens
+    if cut:
+        yield "".join(cut)

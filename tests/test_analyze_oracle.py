@@ -1,22 +1,27 @@
 """The integer analyze path against the Fraction oracle in fraction_analyze.py.
 
 Both sides get the same input and must return identical reports, or raise
-the same exception type with the same message.
+the same exception type with the same message. figurate's parser gets each
+sequence file as a str, as bytes and as a text stream, also read one, two
+or seven characters at a time, so that chunk edges fall inside tokens.
 """
 
+import io
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_analyze as oracle
+from figurate import seqio
 from figurate.logbehavior import (
     PositiveSequence,
     classify_log_behavior,
     quotient_monotonicity,
 )
-from figurate.seqio import parse_sequence_file
+from figurate.seqio import SequenceParseError, parse_sequence_file
 
 small = st.integers(min_value=1, max_value=10**6)
 huge = st.integers(min_value=10**1000, max_value=10**1100)
@@ -151,16 +156,71 @@ def sequence_texts(draw):
     return "".join(token + draw(separators) for token in tokens)
 
 
+def sources(text):
+    """The same sequence file as a str, as UTF-8 bytes and as a text stream."""
+    return text, text.encode(), io.StringIO(text)
+
+
+def parses_as_the_oracle(text, read_size=seqio._READ_SIZE):
+    """Each form of `text`, read `read_size` characters at a time, parses as the oracle parses it."""
+    old, old_error = outcome(oracle.parse_sequence_file, text)
+    with mock.patch.object(seqio, "_READ_SIZE", read_size):
+        for source in sources(text):
+            new, new_error = outcome(parse_sequence_file, source)
+            assert new_error == old_error, (text, type(source))
+            if new is not None:
+                same_sequence(new, old)
+    if old is not None:
+        same_analysis(new, old)
+
+
 class TestParsing:
     @settings(max_examples=300, deadline=None)
     @given(text=sequence_texts())
     def test_parse_matches_the_oracle(self, text):
-        new, new_error = outcome(parse_sequence_file, text)
-        old, old_error = outcome(oracle.parse_sequence_file, text)
-        assert new_error == old_error
-        if new is not None:
-            same_sequence(new, old)
-            same_analysis(new, old)
+        parses_as_the_oracle(text)
+
+    @pytest.mark.parametrize("read_size", [1, 2, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(text=sequence_texts())
+    def test_chunk_edges_match_the_oracle(self, read_size, text):
+        parses_as_the_oracle(text, read_size)
+
+    @pytest.mark.parametrize("read_size", [1, 2, 7])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "12 345 6789 1234567/89",  # tokens longer than a chunk
+            "1\r\n2\r\n4\r\n",  # "\r\n" split by an edge at read sizes 1 and 2
+            "1\x852\x854 8\x85",  # NEL is whitespace to str.split
+            "1 2  4   8 ",
+            "  \n\t ",
+            "7 x 3/0",
+            "-1 2 " + "3" * 20 + "/0",
+        ],
+    )
+    def test_fixed_chunk_edges_match_the_oracle(self, read_size, text):
+        parses_as_the_oracle(text, read_size)
+
+    @pytest.mark.parametrize("read_size", [1, 2, 7, 1000])
+    def test_long_token_over_many_chunks_names_its_position(self, read_size):
+        # The oracle's Fraction raises Python's own message here, so the error
+        # is checked directly: the token's position, the digit limit.
+        with mock.patch.object(seqio, "_READ_SIZE", read_size):
+            for source in sources("1 2 " + "9" * 5000 + " 4"):
+                with pytest.raises(SequenceParseError, match="^token 3: over 4300 digits"):
+                    parse_sequence_file(source)
+
+    @pytest.mark.parametrize("read_size", [1, 2, 7])
+    def test_whitespace_stream_has_no_terms(self, read_size):
+        with mock.patch.object(seqio, "_READ_SIZE", read_size):
+            with pytest.raises(ValueError, match="needs at least one term"):
+                parse_sequence_file(io.StringIO(" \n\r\n\t\x85 "))
+
+    def test_binary_stream_is_refused(self):
+        # refused at the first read, before any bytes reach the tokenizer
+        with pytest.raises(TypeError, match="text mode; read\\(\\) returned bytes"):
+            parse_sequence_file(io.BytesIO(b"1 2 3"))
 
     def test_fixed_cases_match_the_oracle(self):
         texts = [
@@ -175,9 +235,4 @@ class TestParsing:
             "",
         ]
         for text in texts:
-            new, new_error = outcome(parse_sequence_file, text)
-            old, old_error = outcome(oracle.parse_sequence_file, text)
-            assert new_error == old_error, text
-            if new is not None:
-                same_sequence(new, old)
-                same_analysis(new, old)
+            parses_as_the_oracle(text)

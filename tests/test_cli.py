@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from figurate import verify
-from figurate.cli import cli
-from figurate.core import closed_form
-from figurate.seqio import emit_csv, parse_bfile
+from figurate import seqio, verify
+from figurate.cli import _BLOCK_TERMS, cli
+from figurate.core import closed_form, generate_first_order, quotient_direct
+from figurate.seqio import emit_bfile, emit_csv, parse_bfile
 from faults import geometric, perturb, substitute, truncate
 
 
@@ -106,6 +106,39 @@ class TestQuotients:
         assert "integer" in result.stderr
 
 
+BLOCK_EDGE_COUNTS = [1, _BLOCK_TERMS - 1, _BLOCK_TERMS, _BLOCK_TERMS + 1, 2 * _BLOCK_TERMS + 1]
+
+
+class TestBlockEdges:
+    # gen and quotients write _BLOCK_TERMS terms per write; the output must be
+    # the one-string rendering of all terms, at every count near a block edge.
+    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
+    def test_gen(self, runner, count):
+        terms = generate_first_order(9, count)
+        expected = {
+            "plain": " ".join(map(str, terms)) + "\n",
+            "bfile": emit_bfile(1, terms),
+            "csv": emit_csv({"n": list(range(1, count + 1)), "S": terms}),
+        }
+        for fmt, text in expected.items():
+            result = runner.invoke(cli, ["gen", "--m", "9", "--count", str(count), "--format", fmt])
+            assert result.exit_code == 0
+            assert result.output == text, fmt
+
+    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
+    def test_quotients(self, runner, count):
+        values = quotient_direct(9, count)
+        expected = {
+            "plain": " ".join(map(str, values)) + "\n",
+            "csv": emit_csv({"n": list(range(1, count + 1)), "x": values}),
+        }
+        for fmt, text in expected.items():
+            argv = ["quotients", "--m", "9", "--count", str(count), "--format", fmt]
+            result = runner.invoke(cli, argv)
+            assert result.exit_code == 0
+            assert result.output == text, fmt
+
+
 class TestAnalyze:
     def test_log_concave_from_stdin(self, runner):
         result = runner.invoke(cli, ["analyze"], input="1 3 6 10 15\n")
@@ -170,6 +203,13 @@ class TestAnalyze:
     def test_empty_input_exits_two(self, runner):
         result = runner.invoke(cli, ["analyze"], input="")
         assert result.exit_code == 2
+
+    def test_invalid_utf8_after_the_first_chunk_exits_two(self, runner):
+        result = runner.invoke(cli, ["analyze"], input=b"1 " * seqio._READ_SIZE + b"\xff 2\n")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
 
 
 class TestVerify:

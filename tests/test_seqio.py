@@ -1,5 +1,6 @@
 """Tests for b-file, CSV, and sequence-file reading and writing."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,16 @@ class TestEmitBFile:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             emit_bfile(1, [])
+
+    def test_one_shot_iterator(self):
+        # validation and rendering share one pass, so an iterator is read once
+        assert emit_bfile(1, iter([1, 2, 3])) == "1 1\n2 2\n3 3\n"
+        with pytest.raises(TypeError, match="b-file value 2 is a float"):
+            emit_bfile(5, iter([1, 2.0]))
+
+    def test_rejects_empty_iterator(self):
+        with pytest.raises(ValueError, match="cannot emit an empty b-file"):
+            emit_bfile(1, iter([]))
 
     @pytest.mark.parametrize(
         "offset, values, message",
@@ -257,3 +268,20 @@ class TestParseSequenceFile:
         assert parsed == expected
         assert hash(parsed) == hash(expected)
         assert repr(parsed) == "PositiveSequence([1/2])"
+
+    def test_open_file_memory_stays_below_its_size(self, tmp_path):
+        # Read in chunks, the file's text and its tokens are never all held at
+        # once: the peak is about the parsed integers, near half the file here,
+        # where holding the text, a token list and the integers is over twice.
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"{7 * 10**999 + k}\n" for k in range(4000)))
+        size = path.stat().st_size
+        with path.open() as source:
+            tracemalloc.start()
+            try:
+                sequence = parse_sequence_file(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(sequence) == 4000
+        assert peak < 0.75 * size
