@@ -56,15 +56,13 @@ def gen(m: int, count: int, fmt: str):
 @click.option(
     "--format",
     "fmt",
-    type=click.Choice(["plain", "bfile", "csv"]),
+    type=click.Choice(["plain", "csv"]),
     default="plain",
     show_default=True,
     help="Output format.",
 )
 def quotients(m: int, count: int, fmt: str):
     """Print the exact quotients x(n) = S(n+1)/S(n) for n = 1..COUNT."""
-    if fmt == "bfile":
-        raise click.UsageError("b-file records hold integers; quotients are rationals")
     quotients = itertools.islice(core._direct_quotients(m), count)
     _echo_terms(itertools.starmap(core._ratio_text, quotients), fmt, "x")
 

@@ -8,9 +8,10 @@ s(n+1)/s(n) is non-increasing (non-decreasing).
 
 This module classifies finite sequences by the margin definition, measures
 quotient monotonicity independently, and checks two finite-window conditions
-for the m-gonal figurate families: the quotient bounds 1 < x(n) <= m, and the
-Doslic sufficient criterion for log-concavity of sequences defined by a
-two-term recurrence with variable coefficients.
+for the m-gonal figurate families: the quotient bounds 1 < x(n) <= m on the
+quotients a caller supplies, and the Doslic sufficient criterion for
+log-concavity of sequences defined by a two-term recurrence with variable
+coefficients on [3, n_max], since the recurrence starts at n = 3.
 
 All verdicts are exact and window-scoped: a passing window means "no
 counterexample found on this window", never a claim about all n.
@@ -172,15 +173,12 @@ class LogBehaviorReport:
 
     Margin indices are 1-based interior positions j in [2, len - 1];
     first_concavity_violation is the smallest j with margin < 0,
-    first_convexity_violation the smallest j with margin > 0. The margins
-    tuple (margin at j=2 first) is populated only on request and stays
-    empty otherwise.
+    first_convexity_violation the smallest j with margin > 0.
     """
 
     classification: LogBehavior
     first_concavity_violation: int | None = None
     first_convexity_violation: int | None = None
-    margins: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -198,25 +196,23 @@ class MonotonicityReport:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Window check of the quotient bounds 1 < x(n) <= m."""
+    """Check of the quotient bounds 1 < x(n) <= m at the positions 1..len(quotients)."""
 
     lower: ConditionFlag
     upper: ConditionFlag
-    window: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Window check of the Doslic log-concavity criterion.
+    """Check of the Doslic log-concavity criterion on the window [3, n_max].
 
     The four conditions: r_nonneg (R(n) >= 0 on the window), t_nonpos
-    (T(n) <= 0 on the window), seed_step_ok (the quotient sequence does not
-    increase at the window start), and delta_condition
+    (T(n) <= 0 on the window), seed_step_ok (x(3) >= x(4): the quotient
+    sequence does not increase at the window start), and delta_condition
     (dR(n) * x(n - 2) + dT(n) <= 0 on the window, where
     dR(n) = R(n+1) - R(n) and dT(n) = T(n+1) - T(n)).
     """
 
-    window: tuple[int, int]
     r_nonneg: ConditionFlag
     t_nonpos: ConditionFlag
     seed_step_ok: ConditionFlag
@@ -230,41 +226,32 @@ class CriterionReport:
 
 def classify_log_behavior(
     seq: PositiveSequence | Iterable[int | Fraction],
-    *,
-    include_margins: bool = False,
 ) -> LogBehaviorReport:
     """Classify a positive sequence by the signs of its exact margins.
 
     A sequence shorter than 3 terms is INDETERMINATE (there is no interior
     index to test), not an error. With terms p0/d0, a/b and p2/d2 at j - 1,
     j and j + 1, the margin has the sign of the integer a^2 d0 d2 - p0 p2 b^2.
-    Unless the margins are requested, the scan stops once both first
-    violations are known.
+    The scan stops once both first violations are known.
     """
     seq = _as_sequence(seq)
     nums, dens = seq._numerators, seq._denominators
     length = len(nums)
     if length < 3:
-        return LogBehaviorReport(
-            LogBehavior.INDETERMINATE,
-            margins=(),
-        )
+        return LogBehaviorReport(LogBehavior.INDETERMINATE)
 
-    margins: list[Fraction] = []
     first_negative: int | None = None
     first_positive: int | None = None
     triples = zip(range(2, length), nums, dens, nums[1:], dens[1:], nums[2:], dens[2:])
     for j, p0, d0, a, b, p2, d2 in triples:
         scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
-        if include_margins:
-            margins.append(Fraction(scaled, b * b * d0 * d2))
         if scaled < 0 and first_negative is None:
             first_negative = j
         elif scaled > 0 and first_positive is None:
             first_positive = j
         else:
             continue
-        if first_negative and first_positive and not include_margins:
+        if first_negative and first_positive:
             break
 
     if first_negative is None and first_positive is None:
@@ -280,7 +267,6 @@ def classify_log_behavior(
         classification,
         first_concavity_violation=first_negative,
         first_convexity_violation=first_positive,
-        margins=tuple(margins),
     )
 
 
@@ -362,54 +348,49 @@ def check_quotient_bounds(
     return BoundsReport(
         lower=ConditionFlag(first_low),
         upper=ConditionFlag(first_high),
-        window=(1, len(pairs)),
     )
 
 
-def check_doslic_criterion(m: int, n_start: int, n_end: int) -> CriterionReport:
-    """Check the Doslic log-concavity conditions on the window [n_start, n_end].
+def check_doslic_criterion(m: int, n_max: int) -> CriterionReport:
+    """Check the Doslic log-concavity conditions on the window [3, n_max].
 
-    For the m-gonal family with recurrence coefficients R(n), T(n) and
-    quotients x(n), this evaluates, with exact arithmetic:
+    The recurrence S(n) = R(n) S(n-1) + T(n) S(n-2) starts at n = 3, and so
+    does the window. For the m-gonal family with recurrence coefficients
+    R(n), T(n) and quotients x(n), this evaluates, with exact arithmetic:
 
-    * R(n) >= 0 and T(n) <= 0 for n in [n_start, n_end];
-    * x(n_start) >= x(n_start + 1);
-    * dR(n) * x(n - 2) + dT(n) <= 0 for n in [n_start, n_end].
+    * R(n) >= 0 and T(n) <= 0 for n in [3, n_max];
+    * x(3) >= x(4);
+    * dR(n) * x(n - 2) + dT(n) <= 0 for n in [3, n_max].
 
     Every condition is decided on integers: R(n) = r/d and T(n) = t/d with
     d > 0, and a quotient pair whose denominator is <= 0 fails its condition.
     """
     _check_polygon_order(m)
-    _check_index(n_start, minimum=3, what="window start")
-    if not _is_int(n_end):
-        raise TypeError(f"window end must be an int, got {type(n_end).__name__}")
-    if n_end < n_start:
-        raise ValueError(f"window end must be >= window start, got [{n_start}, {n_end}]")
+    _check_index(n_max, minimum=3, what="n_max")
     # read first, so that a short quotient stream names its earliest missing index
-    quotients = itertools.islice(core._direct_quotients(m), n_start - 1, None)
-    (seed, _), (following, _) = core._window(n_start, n_start + 1, quotients)
+    quotients = itertools.islice(core._direct_quotients(m), 2, None)
+    (seed, _), (following, _) = core._window(3, 4, quotients)
     seed_ok = min(seed[1], following[1]) > 0 and _compare(seed, following) >= 0
 
     first_r = first_t = first_delta = None  # the first n where each condition fails
-    coefficients = core._coefficients(m, n_start)
-    ((here, _),) = core._window(n_start, n_start, coefficients)
+    coefficients = core._coefficients(m)
+    ((here, _),) = core._window(3, 3, coefficients)
     # the rest of the coefficients, from n + 1, and x(n - 2), for each n
-    lagged = itertools.islice(core._direct_quotients(m), n_start - 3, None)
-    for ahead, x, n in core._window(n_start, n_end, coefficients, lagged):
-        if here[0] < 0 or here[1] > 0 or x[1] <= 0 or _doslic_delta(here, ahead, x) > 0:
+    for ahead, x, n in core._window(3, n_max, coefficients, core._direct_quotients(m)):
+        delta_fails = x[1] <= 0 or _doslic_delta(here, ahead, x) > 0
+        if here[0] < 0 or here[1] > 0 or delta_fails:
             if here[0] < 0 and first_r is None:
                 first_r = n
             if here[1] > 0 and first_t is None:
                 first_t = n
-            if (x[1] <= 0 or _doslic_delta(here, ahead, x) > 0) and first_delta is None:
+            if delta_fails and first_delta is None:
                 first_delta = n
         here = ahead
 
     return CriterionReport(
-        window=(n_start, n_end),
         r_nonneg=ConditionFlag(first_r),
         t_nonpos=ConditionFlag(first_t),
-        seed_step_ok=ConditionFlag(None if seed_ok else n_start),
+        seed_step_ok=ConditionFlag(None if seed_ok else 3),
         delta_condition=ConditionFlag(first_delta),
     )
 

@@ -233,7 +233,7 @@ def _check_margins(m, n_max):
 
 def _check_doslic(m, n_max):
     """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
-    report = check_doslic_criterion(m, 3, n_max)
+    report = check_doslic_criterion(m, n_max)
     conditions = (
         (report.r_nonneg, "R(n) < 0"),
         (report.t_nonpos, "T(n) > 0"),

@@ -3,7 +3,8 @@
 PositiveSequence, classify_log_behavior, quotient_monotonicity and
 parse_sequence_file below are the former figurate.logbehavior and
 figurate.seqio code, kept verbatim (the class renamed to FractionSequence)
-except for one rule taken over from figurate since: bool terms are rejected.
+except for two rules taken over from figurate since: bool terms are rejected,
+and a classification carries no margins.
 Every term is a Fraction, and every margin, quotient and comparison is
 Fraction arithmetic. tests/test_analyze_oracle.py requires these and the
 integer versions in figurate to return identical reports and to raise
@@ -86,8 +87,6 @@ def _as_sequence(seq: FractionSequence | Iterable[int | Fraction]) -> FractionSe
 
 def classify_log_behavior(
     seq: FractionSequence | Iterable[int | Fraction],
-    *,
-    include_margins: bool = False,
 ) -> LogBehaviorReport:
     """Classify a positive sequence by the signs of its exact margins.
 
@@ -97,17 +96,12 @@ def classify_log_behavior(
     terms = _as_sequence(seq).terms
     length = len(terms)
     if length < 3:
-        return LogBehaviorReport(
-            LogBehavior.INDETERMINATE,
-            margins=(),
-        )
+        return LogBehaviorReport(LogBehavior.INDETERMINATE)
 
-    margins: list[Fraction] = []
     first_negative: int | None = None
     first_positive: int | None = None
     for j in range(2, length):
         margin = terms[j - 1] * terms[j - 1] - terms[j - 2] * terms[j]
-        margins.append(margin)
         if margin < 0 and first_negative is None:
             first_negative = j
         if margin > 0 and first_positive is None:
@@ -126,7 +120,6 @@ def classify_log_behavior(
         classification,
         first_concavity_violation=first_negative,
         first_convexity_violation=first_positive,
-        margins=tuple(margins) if include_margins else (),
     )
 
 

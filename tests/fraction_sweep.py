@@ -4,7 +4,8 @@ The _check_* functions, the sweep loop and the Doslic criterion below are
 the former figurate.verify and figurate.logbehavior code, kept verbatim
 (the criterion renamed to fraction_doslic_criterion) except that, as in
 figurate.verify now, the checks are strict: a zero margin or a tied quotient
-is a counterexample, and a summary carries no notes. Every condition is
+is a counterexample, a summary carries no notes, and the criterion checks
+the one window [3, n_max] and reports no window. Every condition is
 decided on Fractions, and each check builds full lists of length n_max and
 runs its own loop over m.
 tests/test_verify.py requires run_fraction_sweep and
@@ -99,7 +100,7 @@ def _check_margins(m, config, corrupt_at):
     return None
 
 
-def fraction_doslic_criterion(m, n_start, n_end, *, r_of=None, t_of=None):
+def fraction_doslic_criterion(m, n_max, *, r_of=None, t_of=None):
     if r_of is None:
         r_of = lambda n: coefficient_r(m, n)
     if t_of is None:
@@ -108,7 +109,7 @@ def fraction_doslic_criterion(m, n_start, n_end, *, r_of=None, t_of=None):
     first_r = None
     first_t = None
     first_delta = None
-    for n in range(n_start, n_end + 1):
+    for n in range(3, n_max + 1):
         if r_of(n) < 0 and first_r is None:
             first_r = n
         if t_of(n) > 0 and first_t is None:
@@ -119,14 +120,13 @@ def fraction_doslic_criterion(m, n_start, n_end, *, r_of=None, t_of=None):
         if delta > 0 and first_delta is None:
             first_delta = n
 
-    seeds = quotient_direct(m, n_start + 1)
-    seed_ok = seeds[n_start - 1] >= seeds[n_start]
+    seeds = quotient_direct(m, 4)
+    seed_ok = seeds[2] >= seeds[3]
 
     return CriterionReport(
-        window=(n_start, n_end),
         r_nonneg=ConditionFlag(first_r),
         t_nonpos=ConditionFlag(first_t),
-        seed_step_ok=ConditionFlag(None if seed_ok else n_start),
+        seed_step_ok=ConditionFlag(None if seed_ok else 3),
         delta_condition=ConditionFlag(first_delta),
     )
 
@@ -136,7 +136,7 @@ def _quotient(m, n):
 
 
 def _check_doslic(m, config, corrupt_at):
-    report = fraction_doslic_criterion(m, 3, config.n_max)
+    report = fraction_doslic_criterion(m, config.n_max)
     if report.verdict:
         return None
     if not report.r_nonneg.ok:

@@ -103,7 +103,8 @@ class TestQuotients:
             cli, ["quotients", "--m", "3", "--count", "3", "--format", "bfile"]
         )
         assert result.exit_code == 2
-        assert "integer" in result.stderr
+        assert "'bfile'" in result.stderr
+        assert "'plain'" in result.stderr and "'csv'" in result.stderr
 
 
 BLOCK_EDGE_COUNTS = [1, _BLOCK_TERMS - 1, _BLOCK_TERMS, _BLOCK_TERMS + 1, 2 * _BLOCK_TERMS + 1]

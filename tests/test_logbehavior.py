@@ -18,6 +18,7 @@ from figurate.core import (
 from figurate.logbehavior import (
     ConditionFlag,
     LogBehavior,
+    LogBehaviorReport,
     Monotonicity,
     PositiveSequence,
     check_doslic_criterion,
@@ -87,12 +88,13 @@ class TestPositiveSequence:
 
 class TestClassification:
     def test_triangular_numbers_are_log_concave(self):
-        report = classify_log_behavior(
-            PositiveSequence([1, 3, 6, 10, 15]), include_margins=True
-        )
+        report = classify_log_behavior(PositiveSequence([1, 3, 6, 10, 15]))
         assert report.classification is LogBehavior.LOG_CONCAVE
         assert report.first_concavity_violation is None
-        assert report.margins == (3, 6, 10)
+        assert report.first_convexity_violation == 2
+        assert [field.name for field in dataclasses.fields(report)] == [
+            "classification", "first_concavity_violation", "first_convexity_violation"
+        ]
 
     def test_factorials_are_log_convex(self):
         report = classify_log_behavior(PositiveSequence([1, 1, 2, 6, 24]))
@@ -100,49 +102,34 @@ class TestClassification:
         assert report.first_convexity_violation is None
 
     def test_powers_of_two_are_geometric(self):
-        report = classify_log_behavior(
-            PositiveSequence([1, 2, 4, 8, 16]), include_margins=True
-        )
+        report = classify_log_behavior(PositiveSequence([1, 2, 4, 8, 16]))
         assert report.classification is LogBehavior.GEOMETRIC
-        assert report.margins == (0, 0, 0)
         assert report.first_concavity_violation is None
         assert report.first_convexity_violation is None
 
     def test_fibonacci_prefix_is_neither(self):
-        report = classify_log_behavior(
-            PositiveSequence([1, 1, 2, 3, 5, 8]), include_margins=True
-        )
+        report = classify_log_behavior(PositiveSequence([1, 1, 2, 3, 5, 8]))
         assert report.classification is LogBehavior.NEITHER
-        assert report.margins == (-1, 1, -1, 1)
         assert report.first_concavity_violation == 2
         assert report.first_convexity_violation == 3
 
     def test_short_sequences_are_indeterminate(self):
         for terms in ([5], [5, 7]):
             report = classify_log_behavior(PositiveSequence(terms))
-            assert report.classification is LogBehavior.INDETERMINATE
-            assert report.margins == ()
+            assert report == LogBehaviorReport(LogBehavior.INDETERMINATE)
 
     def test_rejects_a_bool_term(self):
         with pytest.raises(TypeError, match="term 2 is a bool"):
             classify_log_behavior([1, True, 2])
 
-    def test_margins_omitted_unless_requested(self):
-        report = classify_log_behavior(PositiveSequence([1, 3, 6, 10]))
-        assert report.margins == ()
-
     def test_rational_terms(self):
+        # the one margin, 1/9 - 1/8 = -1/72, is negative
         report = classify_log_behavior(
-            PositiveSequence([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]),
-            include_margins=True,
+            PositiveSequence([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
         )
         assert report.classification is LogBehavior.LOG_CONVEX
-        assert report.margins == (Fraction(-1, 72),)
-
-    @given(terms=st.lists(positive_terms, min_size=3, max_size=30))
-    def test_margins_match_naive_oracle(self, terms):
-        report = classify_log_behavior(PositiveSequence(terms), include_margins=True)
-        assert list(report.margins) == margins_by_hand(terms)
+        assert report.first_concavity_violation == 2
+        assert report.first_convexity_violation is None
 
     @given(terms=term_lists, scale=positive_rationals)
     def test_classification_survives_scaling(self, terms, scale):
@@ -216,7 +203,7 @@ class TestQuotientBounds:
         for m in (3, 4, 5, 12, 50):
             report = check_quotient_bounds(m, quotient_direct(m, 100))
             assert report.lower.ok and report.upper.ok
-            assert report.window == (1, 100)
+            assert [field.name for field in dataclasses.fields(report)] == ["lower", "upper"]
 
     def test_lower_violation_position(self):
         report = check_quotient_bounds(3, [Fraction(3), Fraction(1)])
@@ -317,15 +304,14 @@ def coefficient_triples(r_of, t_of):
 
 class TestDoslicCriterion:
     def test_smallest_window_passes(self):
-        report = check_doslic_criterion(3, 3, 3)
+        report = check_doslic_criterion(3, 3)
         assert report.verdict
-        assert report.window == (3, 3)
         assert [field.name for field in dataclasses.fields(report)] == [
-            "window", "r_nonneg", "t_nonpos", "seed_step_ok", "delta_condition"
+            "r_nonneg", "t_nonpos", "seed_step_ok", "delta_condition"
         ]
 
     def test_wide_window_passes(self):
-        report = check_doslic_criterion(3, 3, 100)
+        report = check_doslic_criterion(3, 100)
         assert report.verdict
         assert report.r_nonneg.ok
         assert report.t_nonpos.ok
@@ -334,7 +320,7 @@ class TestDoslicCriterion:
 
     def test_all_small_orders_pass(self):
         for m in range(3, 20):
-            assert check_doslic_criterion(m, 3, 50).verdict
+            assert check_doslic_criterion(m, 50).verdict
 
     def test_delta_spot_value(self):
         # At m=3, n=3 with lag 2 the combined delta expression equals -1/3.
@@ -347,73 +333,59 @@ class TestDoslicCriterion:
 
     def test_injected_positive_t_is_caught(self, monkeypatch):
         perturb(monkeypatch, "_coefficients", (3, 3), lambda c: (c[0], -c[1], c[2]))
-        report = check_doslic_criterion(3, 3, 10)
+        report = check_doslic_criterion(3, 10)
         assert not report.t_nonpos.ok
         assert report.t_nonpos.first_failure == 3
         assert not report.verdict
 
     def test_injected_negative_r_is_caught(self, monkeypatch):
         perturb(monkeypatch, "_coefficients", (3, 3), lambda c: (-c[0], c[1], c[2]))
-        report = check_doslic_criterion(3, 3, 10)
+        report = check_doslic_criterion(3, 10)
         assert not report.r_nonneg.ok
         assert report.r_nonneg.first_failure == 3
         assert not report.verdict
 
-    @pytest.mark.parametrize("n_start, n_end", [(3, 3), (3, 80), (5, 40)])
+    @pytest.mark.parametrize("n_max", [3, 40, 80])
     @pytest.mark.parametrize("m", [3, 4, 7, 20])
-    def test_matches_the_fraction_criterion(self, m, n_start, n_end):
+    def test_matches_the_fraction_criterion(self, m, n_max):
         # The integer conditions against the former Fraction implementation,
         # on the real coefficients and on R and T replaced in figurate.core;
         # the oracle is handed the same R and T. The real ones, put back over
         # a common denominator, must give the same report; the crooked ones
         # give R and T different denominators, and their R, T and delta
-        # conditions first fail inside the windows, at indices that depend
-        # on m.
+        # conditions first fail inside the windows up to 40 and 80, at
+        # indices that depend on m.
         crooked = {
             "r_of": lambda n: Fraction(30 - n, 7 * n),
             "t_of": lambda n: Fraction(n - 25, 4),
         }
         # R and T as Fractions, computed before anything is patched; the
-        # window reads them up to n = n_end + 1
+        # window reads them up to n = n_max + 1
         real = {
-            "r_of": {n: coefficient_r(m, n) for n in range(3, n_end + 2)}.__getitem__,
-            "t_of": {n: coefficient_t(m, n) for n in range(3, n_end + 2)}.__getitem__,
+            "r_of": {n: coefficient_r(m, n) for n in range(3, n_max + 2)}.__getitem__,
+            "t_of": {n: coefficient_t(m, n) for n in range(3, n_max + 2)}.__getitem__,
         }
-        expected = fraction_doslic_criterion(m, n_start, n_end)
-        assert check_doslic_criterion(m, n_start, n_end) == expected
+        expected = fraction_doslic_criterion(m, n_max)
+        assert check_doslic_criterion(m, n_max) == expected
         for hooks in ({}, {"r_of": crooked["r_of"]}, {"t_of": crooked["t_of"]}, crooked):
             coefficients = {**real, **hooks}
-            expected = fraction_doslic_criterion(m, n_start, n_end, **coefficients)
+            expected = fraction_doslic_criterion(m, n_max, **coefficients)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(core, "_coefficients", coefficient_triples(**coefficients))
-                assert check_doslic_criterion(m, n_start, n_end) == expected
-
-    def test_rejects_start_below_three(self):
-        with pytest.raises(ValueError):
-            check_doslic_criterion(3, 2, 5)
-
-    def test_rejects_reversed_window(self):
-        with pytest.raises(ValueError):
-            check_doslic_criterion(3, 5, 4)
+                assert check_doslic_criterion(m, n_max) == expected
 
     @pytest.mark.parametrize(
-        "arguments, message",
+        "n_max, error, message",
         [
-            ((3, 3, "10"), "window end must be an int, got str"),
-            ((3, 3, 10.0), "window end must be an int, got float"),
-            ((3, 3, True), "window end must be an int, got bool"),
-            ((3, "3", 10), "window start must be an int, got str"),
-            ((3, 3.0, 10), "window start must be an int, got float"),
-            ((3, True, 10), "window start must be an int, got bool"),
+            (2, ValueError, "n_max must be >= 3, got 2"),
+            ("10", TypeError, "n_max must be an int, got str"),
+            (10.0, TypeError, "n_max must be an int, got float"),
+            (True, TypeError, "n_max must be an int, got bool"),
         ],
     )
-    def test_rejects_non_int_window(self, arguments, message):
-        with pytest.raises(TypeError, match=message):
-            check_doslic_criterion(*arguments)
-
-    def test_reversed_window_message_names_the_window(self):
-        with pytest.raises(ValueError, match=r"window end must be >= window start, got \[5, 4\]"):
-            check_doslic_criterion(3, 5, 4)
+    def test_rejects_a_bad_window_end(self, n_max, error, message):
+        with pytest.raises(error, match=message):
+            check_doslic_criterion(3, n_max)
 
 
 class TestEnumRendering:

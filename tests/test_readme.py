@@ -1,9 +1,14 @@
-"""Every `$ figurate ...` example in README.md, run and compared byte for byte.
+"""Every `$ figurate ...` example in README.md, run and compared byte for byte,
+and the README's library example, run in process.
 
 An example is a line starting with "$ " inside a ```sh block; its expected
 output is the lines after it, up to a blank line, the next example or the
 end of the block. `echo "..." | figurate ...` feeds the echoed text to
 stdin. stderr is merged into stdout, as a terminal shows them.
+
+In the ```python block under "## Library", a line `expr  # expected` claims
+that expr evaluates to what expected evaluates to; the other lines are run
+as they stand.
 """
 
 import os
@@ -69,3 +74,28 @@ def test_examples_are_found():
 @pytest.mark.parametrize(("command", "expected"), EXAMPLES, ids=[c for c, _ in EXAMPLES])
 def test_example_output(command, expected):
     assert run(command) == expected
+
+
+def library_example() -> str:
+    """The ```python block under "## Library" in README.md."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("\n## Library\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def test_library_example_holds():
+    namespace = {}
+    pending = []
+    claims = 0
+    for line in library_example().splitlines():
+        expression, _, expected = line.partition("  # ")
+        if not expected:
+            pending.append(line)
+            continue
+        exec("\n".join(pending), namespace)
+        pending = []
+        assert eval(expression, namespace) == eval(expected, namespace), line
+        claims += 1
+    exec("\n".join(pending), namespace)
+    assert claims >= 5
