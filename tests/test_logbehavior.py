@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figurate import core
+from figurate import core, logbehavior
 from figurate.core import (
     closed_form,
     coefficient_r,
@@ -130,6 +130,17 @@ class TestClassification:
         assert report.classification is LogBehavior.LOG_CONVEX
         assert report.first_concavity_violation == 2
         assert report.first_convexity_violation is None
+
+    @given(terms=st.lists(positive_terms, min_size=3, max_size=30))
+    def test_margins_match_naive_oracle(self, terms):
+        # the first violations are the first negative and the first positive
+        # naive margin, even though the scan stops once it has both
+        margins = margins_by_hand(terms)
+        negative = [j for j, margin in enumerate(margins, start=2) if margin < 0]
+        positive = [j for j, margin in enumerate(margins, start=2) if margin > 0]
+        report = classify_log_behavior(PositiveSequence(terms))
+        assert report.first_concavity_violation == (negative[0] if negative else None)
+        assert report.first_convexity_violation == (positive[0] if positive else None)
 
     @given(terms=term_lists, scale=positive_rationals)
     def test_classification_survives_scaling(self, terms, scale):
@@ -381,11 +392,53 @@ class TestDoslicCriterion:
             ("10", TypeError, "n_max must be an int, got str"),
             (10.0, TypeError, "n_max must be an int, got float"),
             (True, TypeError, "n_max must be an int, got bool"),
+            (0, ValueError, "n_max must be >= 3, got 0"),
+            (None, TypeError, "n_max must be an int, got NoneType"),
         ],
     )
     def test_rejects_a_bad_window_end(self, n_max, error, message):
         with pytest.raises(error, match=message):
             check_doslic_criterion(3, n_max)
+
+    @pytest.mark.parametrize(
+        "m, error, message",
+        [
+            (2, ValueError, "polygon order must be >= 3, got 2"),
+            ("3", TypeError, "polygon order must be an int, got str"),
+            (True, TypeError, "polygon order must be an int, got bool"),
+        ],
+    )
+    def test_rejects_a_bad_polygon_order_before_the_window_end(self, m, error, message):
+        # n_max = 2 is bad too; the polygon order is checked first
+        with pytest.raises(error, match=message):
+            check_doslic_criterion(m, 2)
+
+    def test_window_ends_at_n_max(self, monkeypatch):
+        perturb(monkeypatch, "_coefficients", (3, 10), lambda c: (-c[0], c[1], c[2]))
+        assert check_doslic_criterion(3, 9).r_nonneg.ok
+        assert check_doslic_criterion(3, 10).r_nonneg.first_failure == 10
+
+    @pytest.mark.parametrize("crooked", [False, True])
+    @pytest.mark.parametrize("n_max", [3, 50])
+    def test_delta_is_computed_once_per_row(self, monkeypatch, n_max, crooked):
+        # one delta per n in [3, n_max], whether the row passes or fails; the
+        # crooked T is positive from n = 26 and the crooked R negative from 31
+        if crooked:
+            monkeypatch.setattr(core, "_coefficients", coefficient_triples(
+                r_of=lambda n: Fraction(30 - n, 7 * n),
+                t_of=lambda n: Fraction(n - 25, 4),
+            ))
+        calls = []
+        real_delta = logbehavior._doslic_delta
+
+        def counted(*arguments):
+            calls.append(arguments)
+            return real_delta(*arguments)
+
+        monkeypatch.setattr(logbehavior, "_doslic_delta", counted)
+        report = check_doslic_criterion(3, n_max)
+        assert len(calls) == n_max - 2
+        assert report.verdict is not (crooked and n_max == 50)
 
 
 class TestEnumRendering:
