@@ -16,16 +16,19 @@ or a zero margin is a counterexample like any other.
 
 Sweeps are pure and deterministic; checks run in the canonical order above,
 each over ascending m, and a check that has failed is not evaluated for
-later m. Each `_check_*` kernel takes (m, n_max) and returns its first
-counterexample at m, or None. It makes one streaming pass over n = 1..n_max
-through `core._window`, in O(1) memory per route; a stream that ends before
-n_max is a counterexample, "stream ended before n=...", at the first index it
-could not fill. Rationals are integer pairs compared by cross-multiplication
-and rendered by `core._ratio_text`, never as a `Fraction`; a zero or negative
-S(n) is a counterexample of each check whose condition it breaks.
+later m. Each check is one row of `_CHECKS`: its name, its `_check_*` kernel
+and its lane. A kernel takes (m, n_max) and returns (n, witness) for its first
+counterexample at m, or None; only the sweep names the check. It makes one
+streaming pass over n = 1..n_max through `core._window`, in O(1) memory per
+route; a stream that ends before n_max is a counterexample, "stream ended
+before n=...", at the first index it could not fill. Rationals are integer
+pairs compared by cross-multiplication and rendered by `core._ratio_text`,
+never as a `Fraction`; a zero or negative S(n) is a counterexample of each
+check whose condition it breaks.
 
-The generators are looked up on `figurate.core` at each call, never imported
-by name, so replacing one there puts a fault into every check that reads it.
+The generators are looked up on `figurate.core` at each call, and the kernels
+on this module at each sweep, never imported by name: replacing a generator
+there puts a fault into every check that reads it, and a kernel its check.
 
 `run_verify_sweep` runs in the calling process. Where `os.fork` exists, the
 `figurate verify` command runs the checks in two processes instead, with the
@@ -52,7 +55,16 @@ __all__ = [
     "run_verify_sweep",
 ]
 
-CHECK_NAMES = ("cross-formula", "bounds", "monotonicity", "margins", "doslic")
+# One row per check, in run order: (name, kernel in this module, runs in
+# `_run_forked`'s child). The two lanes take about the same time on the default window.
+_CHECKS = (
+    ("cross-formula", "_check_cross_formula", False),
+    ("bounds", "_check_bounds", True),
+    ("monotonicity", "_check_monotonicity", True),
+    ("margins", "_check_margins", True),
+    ("doslic", "_check_doslic", False),
+)
+CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
 @dataclass(frozen=True)
@@ -159,9 +171,7 @@ def _check_cross_formula(m, n_max):
         for position, value in enumerate((alt, first_order, second_order, progression), 1):
             if value != anchor and position not in first:
                 first[position] = (n, f"{_ROUTES[0][0]}={anchor} {_ROUTES[position][0]}={value}")
-    if first:
-        return Counterexample("cross-formula", m, *first[min(first)])
-    return None
+    return first[min(first)] if first else None
 
 
 def _seed_quotients(m):
@@ -191,7 +201,7 @@ def _check_bounds(m, n_max):
             witness = f"x({n})={value} is not > 1"
         else:
             continue
-        return Counterexample("bounds", m, n, witness)
+        return n, witness
     return None
 
 
@@ -209,12 +219,12 @@ def _check_monotonicity(m, n_max):
         (a, b), (p, q) = direct, recurred
         if a * q != p * b:
             witness = f"direct={_ratio_text(*direct)} recurrence={_ratio_text(*recurred)}"
-            return Counterexample("monotonicity", m, n, witness)
+            return n, witness
         if step is None and previous is not None and p * previous[1] >= previous[0] * q:
             relation = "<" if p * previous[1] > previous[0] * q else "="
             before, after = _ratio_text(*previous), _ratio_text(*recurred)
             witness = f"x({n - 1})={before} {relation} x({n})={after}"
-            step = Counterexample("monotonicity", m, n, witness)
+            step = n, witness
         previous = recurred
     return step
 
@@ -226,7 +236,7 @@ def _check_margins(m, n_max):
     for term, n in rows:
         margin = old * old - older * term
         if margin <= 0:
-            return Counterexample("margins", m, n - 1, f"margin={margin}")
+            return n - 1, f"margin={margin}"
         older, old = old, term
     return None
 
@@ -242,17 +252,8 @@ def _check_doslic(m, n_max):
     )
     for flag, witness in conditions:
         if not flag.ok:
-            return Counterexample("doslic", m, flag.first_failure, witness)
+            return flag.first_failure, witness
     return None
-
-
-_CHECK_FUNCTIONS = {
-    "cross-formula": _check_cross_formula,
-    "bounds": _check_bounds,
-    "monotonicity": _check_monotonicity,
-    "margins": _check_margins,
-    "doslic": _check_doslic,
-}
 
 
 def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
@@ -265,27 +266,25 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
     if not isinstance(config, VerifySweepConfig):
         raise TypeError(f"config must be a VerifySweepConfig or None, got {type(config).__name__}")
     summaries = []
-    for check in config.checks:
-        function = _CHECK_FUNCTIONS[check]
+    for check, attribute, _ in _CHECKS:
+        if check not in config.checks:
+            continue
+        kernel = globals()[attribute]
         counterexample = None
         for m in range(config.m_from, config.m_to + 1):
             try:
-                counterexample = function(m, config.n_max)
+                found = kernel(m, config.n_max)
             except core._StreamEnded as ended:
-                counterexample = Counterexample(check, m, ended.n, str(ended))
-            if counterexample is not None:
+                found = ended.n, str(ended)
+            if found is not None:
+                counterexample = Counterexample(check, m, *found)
                 break
         summaries.append(CheckSummary(check, counterexample))
     return SweepReport(config, tuple(summaries))
 
 
-# Checks that `_run_forked` runs in the child; the others run in the parent.
-# The two lanes take about the same time on the default window.
-_CHILD_LANE = ("bounds", "monotonicity", "margins")
-
-
 def _run_forked(config: VerifySweepConfig) -> SweepReport:
-    """`run_verify_sweep(config)`, with the checks of `_CHILD_LANE` run in a forked child.
+    """`run_verify_sweep(config)`, with the child lane of `_CHECKS` run in a forked child.
 
     Checks are independent, so the report is the serial one. The child sends
     its summaries back through a pipe as marshalled tuples. Any failure, of the
@@ -293,9 +292,9 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
     complete result, kills the child and returns the serial sweep, so every
     exception is the one a serial run raises. The child is always reaped.
     """
-    lanes = (
-        tuple(check for check in config.checks if check not in _CHILD_LANE),
-        tuple(check for check in config.checks if check in _CHILD_LANE),
+    lanes = tuple(
+        tuple(check for check, _, child in _CHECKS if child is lane and check in config.checks)
+        for lane in (False, True)
     )
     if not all(lanes) or not hasattr(os, "fork"):
         return run_verify_sweep(config)

@@ -173,6 +173,15 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert "classification: log-convex" in result.output
 
+    @pytest.mark.parametrize("m", [3, 7, 60])
+    def test_plain_gen_output_round_trips(self, runner, m):
+        # one term past a block edge, so gen writes it in a second block
+        gen = runner.invoke(cli, ["gen", "--m", str(m), "--count", str(_BLOCK_TERMS + 1)])
+        assert gen.exit_code == 0
+        result = runner.invoke(cli, ["analyze"], input=gen.output)
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0] == "classification: log-concave"
+
     def test_short_input_is_indeterminate(self, runner):
         result = runner.invoke(cli, ["analyze"], input="5 7\n")
         assert result.exit_code == 0
@@ -338,9 +347,9 @@ class TestVerify:
         def stand_in(m, n_max):
             if os.getpid() == parent:
                 return None
-            return verify.Counterexample("margins", m, 1, "in a child")
+            return 1, "in a child"
 
-        monkeypatch.setitem(verify._CHECK_FUNCTIONS, "margins", stand_in)
+        monkeypatch.setattr(verify, "_check_margins", stand_in)
         result = runner.invoke(cli, self.NARROW)
         assert result.exit_code == 1
         assert result.output.endswith("counterexample: check=margins m=3 n=1 in a child\n")

@@ -4,7 +4,8 @@ and the README's library example, run in process.
 An example is a line starting with "$ " inside a ```sh block; its expected
 output is the lines after it, up to a blank line, the next example or the
 end of the block. `echo "..." | figurate ...` feeds the echoed text to
-stdin. stderr is merged into stdout, as a terminal shows them.
+stdin, and `figurate ... | figurate ...` the first command's stdout. stderr
+is merged into stdout, as a terminal shows them.
 
 In the ```python block under "## Library", a line `expr  # expected` claims
 that expr evaluates to what expected evaluates to; the other lines are run
@@ -43,13 +44,15 @@ def readme_examples():
 EXAMPLES = readme_examples()
 
 
-def run(command: str) -> str:
+def run(command: str, stderr=subprocess.STDOUT) -> str:
     stdin = None
     if "|" in command:
-        echo, command = command.split("|")
-        words = shlex.split(echo)
-        assert words[0] == "echo", echo
-        stdin = " ".join(words[1:]) + "\n"
+        source, command = command.split("|")
+        words = shlex.split(source)
+        if words[0] == "echo":
+            stdin = " ".join(words[1:]) + "\n"
+        else:
+            stdin = run(source, stderr=None)  # a pipe carries stdout only
     words = shlex.split(command)
     assert words[0] == "figurate", command
     env = dict(os.environ)
@@ -58,7 +61,7 @@ def run(command: str) -> str:
         [sys.executable, "-m", "figurate", *words[1:]],
         input=stdin,
         stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
+        stderr=stderr,
         text=True,
         env=env,
     )
@@ -69,6 +72,7 @@ def test_examples_are_found():
     commands = [command for command, _ in EXAMPLES]
     assert len(commands) >= 10
     assert any(command.startswith("echo ") for command in commands)
+    assert any(command.startswith("figurate ") and "|" in command for command in commands)
 
 
 @pytest.mark.parametrize(("command", "expected"), EXAMPLES, ids=[c for c, _ in EXAMPLES])

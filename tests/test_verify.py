@@ -2,12 +2,16 @@
 
 import dataclasses
 import errno
+import importlib.util
 import itertools
 import math
 import os
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +51,15 @@ class TestConfig:
         assert [field.name for field in dataclasses.fields(config)] == [
             "m_from", "m_to", "n_max", "checks"
         ]
+
+    def test_the_bench_oracle_names_the_same_checks(self, monkeypatch):
+        # bench/oracle.py keeps its own copy of the names, apart from the package
+        path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+        spec = importlib.util.spec_from_file_location("bench_oracle", path)
+        oracle = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, oracle)  # its dataclasses look it up
+        spec.loader.exec_module(oracle)
+        assert oracle.CHECK_NAMES == CHECK_NAMES
 
     def test_checks_normalized_to_canonical_order(self):
         config = VerifySweepConfig(checks=("bounds", "cross-formula"))
@@ -153,6 +166,20 @@ class TestSweep:
         assert report.first_counterexample is report.summary_for("monotonicity").counterexample
         assert (report.first_counterexample.m, report.first_counterexample.n) == (5, 10)
 
+    def test_memory_does_not_grow_with_n_max(self):
+        # every kernel streams its window; one that held it would add ~100 B a row
+        def peak(n_max):
+            tracemalloc.start()
+            try:
+                run_verify_sweep(VerifySweepConfig(m_to=3, n_max=n_max))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_verify_sweep(VerifySweepConfig(m_to=3, n_max=500))  # warm-up
+        small, large = peak(500), peak(5000)
+        assert large <= small + 4096, (small, large)
+
     def test_corruption_outside_window_is_invisible(self, monkeypatch):
         perturb(monkeypatch, "_first_order_terms", (9, 3), lambda term: term + 1)
         report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
@@ -183,9 +210,7 @@ class TestCheckFunctions:
         ]
         for (_, name), column in zip(verify._ROUTES, zip(*terms)):
             monkeypatch.setattr(core, name, fixed(column))
-        assert verify._check_cross_formula(3, 5) == Counterexample(
-            "cross-formula", 3, 4, "closed-form=10 alt-form=9"
-        )
+        assert verify._check_cross_formula(3, 5) == (4, "closed-form=10 alt-form=9")
 
     @pytest.mark.parametrize(
         "direct, expected",
@@ -201,22 +226,18 @@ class TestCheckFunctions:
     )
     def test_bounds(self, monkeypatch, direct, expected):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        assert verify._check_bounds(5, 10) == Counterexample("bounds", 5, *expected)
+        assert verify._check_bounds(5, 10) == expected
 
     def test_monotonicity_stops_at_the_first_tie_or_increase(self, monkeypatch):
         direct = [(4, 1), (18, 8), (9, 4), (2, 1), (3, 1)]
         recurred = [(4, 1), (9, 4), (9, 4), (2, 1), (3, 1)]
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
         monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred))
-        assert verify._check_monotonicity(4, 5) == Counterexample(
-            "monotonicity", 4, 3, "x(2)=9/4 = x(3)=9/4"
-        )
+        assert verify._check_monotonicity(4, 5) == (3, "x(2)=9/4 = x(3)=9/4")
         # without the tie, the increase after it is the counterexample
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct[:2] + direct[3:]))
         monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred[:2] + recurred[3:]))
-        assert verify._check_monotonicity(4, 4) == Counterexample(
-            "monotonicity", 4, 4, "x(3)=2 < x(4)=3"
-        )
+        assert verify._check_monotonicity(4, 4) == (4, "x(3)=2 < x(4)=3")
         # a disagreement of the two routes anywhere, either way round, outranks
         # the tie and the increase
         mismatches = [
@@ -226,7 +247,7 @@ class TestCheckFunctions:
         for x, y, witness in mismatches:
             monkeypatch.setattr(core, "_direct_quotients", fixed(direct + [x]))
             monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred + [y]))
-            assert verify._check_monotonicity(4, 6) == Counterexample("monotonicity", 4, 6, witness)
+            assert verify._check_monotonicity(4, 6) == (6, witness)
 
     @pytest.mark.parametrize(
         "terms, expected",
@@ -235,7 +256,7 @@ class TestCheckFunctions:
     )
     def test_margins(self, monkeypatch, terms, expected):
         monkeypatch.setattr(core, "_closed_form_terms", fixed(terms))
-        assert verify._check_margins(3, 6) == Counterexample("margins", 3, *expected)
+        assert verify._check_margins(3, 6) == expected
 
     # At m = 3, dR(n)x + dT(n) > 0 exactly when x < 1, for every n. The delta
     # condition reads x(1), x(2), x(3) at n = 3, 4, 5, and of those only the
@@ -251,9 +272,7 @@ class TestCheckFunctions:
     )
     def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch, direct, n):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        assert verify._check_doslic(3, 5) == Counterexample(
-            "doslic", 3, n, "dR(n)x(n-2) + dT(n) > 0"
-        )
+        assert verify._check_doslic(3, 5) == (n, "dR(n)x(n-2) + dT(n) > 0")
 
     @pytest.mark.parametrize(
         "negative_r, positive_t, expected",
@@ -557,6 +576,11 @@ def open_fds():
     return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+# each check's kernel, by its name in `verify`, and the checks that `_run_forked`'s child runs
+KERNELS = {check: kernel for check, kernel, _ in verify._CHECKS}
+CHILD_LANE = tuple(check for check, _, child in verify._CHECKS if child)
+
+
 class TestForkedLanes:
     """`verify._run_forked`, which `figurate verify` runs, returns `run_verify_sweep`'s report.
 
@@ -601,25 +625,25 @@ class TestForkedLanes:
             def stand_in(m, n_max):
                 if os.getpid() == parent:
                     return None
-                return Counterexample(check, m, 1, "ran in a child")
+                return 1, "ran in a child"
 
             return stand_in
 
         for check in CHECK_NAMES:
-            monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, elsewhere(check))
+            monkeypatch.setattr(verify, KERNELS[check], elsewhere(check))
 
     def test_the_child_lane_runs_in_another_process(self, monkeypatch):
         self.fail_outside(monkeypatch)
         report = verify._run_forked(VerifySweepConfig(**self.CONFIG))
         assert [summary.passed for summary in report.summaries] == [
-            check not in verify._CHILD_LANE for check in CHECK_NAMES
+            check not in CHILD_LANE for check in CHECK_NAMES
         ]
-        for check in verify._CHILD_LANE:
+        for check in CHILD_LANE:
             assert report.summary_for(check) == verify.CheckSummary(
                 check, Counterexample(check, 3, 1, "ran in a child")
             )
 
-    @pytest.mark.parametrize("checks", [verify._CHILD_LANE, ("cross-formula", "doslic")])
+    @pytest.mark.parametrize("checks", [CHILD_LANE, ("cross-formula", "doslic")])
     def test_one_process_when_a_lane_is_empty(self, monkeypatch, checks):
         self.fail_outside(monkeypatch)
         assert verify._run_forked(VerifySweepConfig(**self.CONFIG, checks=checks)).passed
@@ -672,23 +696,23 @@ class TestForkedLanes:
     def in_the_child(monkeypatch, check, act):
         """Make `check` call act() first where it runs outside this process."""
         parent = os.getpid()
-        real = verify._CHECK_FUNCTIONS[check]
+        real = getattr(verify, KERNELS[check])
 
         def stand_in(m, n_max):
             if os.getpid() != parent:
                 act()
             return real(m, n_max)
 
-        monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, stand_in)
+        monkeypatch.setattr(verify, KERNELS[check], stand_in)
 
-    @pytest.mark.parametrize("check", verify._CHILD_LANE)
+    @pytest.mark.parametrize("check", CHILD_LANE)
     @pytest.mark.parametrize("status", [9, 0], ids=["exit-9", "exit-0-unwritten"])
     def test_a_child_that_exits_early(self, monkeypatch, check, status):
         self.in_the_child(monkeypatch, check, lambda: os._exit(status))
         perturb(monkeypatch, "_recurrence_quotients", (5, 10), lambda x: (x[0] + 1, x[1]))
         assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
 
-    @pytest.mark.parametrize("check", verify._CHILD_LANE)
+    @pytest.mark.parametrize("check", CHILD_LANE)
     def test_a_child_that_raises_only_in_the_child(self, monkeypatch, check):
         def fail():
             raise core.InvariantViolation("in the child")
@@ -716,7 +740,7 @@ class TestForkedLanes:
             return raise_it
 
         for check in raising:
-            monkeypatch.setitem(verify._CHECK_FUNCTIONS, check, stand_in(check))
+            monkeypatch.setattr(verify, KERNELS[check], stand_in(check))
         config = VerifySweepConfig(**self.CONFIG)
         with pytest.raises(core.InvariantViolation, match=f"^{first} at m=3$"):
             run_verify_sweep(config)
@@ -728,7 +752,7 @@ class TestForkedLanes:
             raise KeyboardInterrupt
 
         self.in_the_child(monkeypatch, "bounds", lambda: time.sleep(60))  # unless it is killed
-        monkeypatch.setitem(verify._CHECK_FUNCTIONS, "doslic", interrupt)
+        monkeypatch.setattr(verify, "_check_doslic", interrupt)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             verify._run_forked(VerifySweepConfig(m_to=3, n_max=60))  # one sleep
