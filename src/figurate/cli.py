@@ -15,12 +15,8 @@ from collections.abc import Iterator
 import click
 
 from figurate import core
-from figurate.logbehavior import (
-    LogBehavior,
-    classify_log_behavior,
-    quotient_monotonicity,
-)
-from figurate.seqio import parse_sequence_file
+from figurate.logbehavior import LogBehavior, _MarginScan, _positive_blocks, _QuotientScan
+from figurate.seqio import _pair_blocks
 from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, _run_forked
 
 EXIT_VIOLATION = 1
@@ -101,14 +97,19 @@ def _echo_terms(texts: Iterator[str], fmt: str, column: str) -> None:
 )
 def analyze(source):
     """Classify a positive sequence as log-concave, log-convex, geometric, or neither."""
+    # Each block of terms goes to both routes as it is read, so that one
+    # chunk's terms are held at a time; the input is still read to its end.
+    margins, quotients = _MarginScan(), _QuotientScan()
     try:
-        sequence = parse_sequence_file(source)
+        for nums, dens in _positive_blocks(_pair_blocks(source)):
+            margins.feed(nums, dens)
+            quotients.feed(nums, dens)
     except ValueError as error:
         click.echo(f"error: {error}", err=True)
         sys.exit(EXIT_USAGE)
 
-    behavior = classify_log_behavior(sequence)
-    direction = quotient_monotonicity(sequence)
+    behavior = margins.report()
+    direction = quotients.report()
 
     word = behavior.classification.value
     if behavior.classification is LogBehavior.GEOMETRIC:

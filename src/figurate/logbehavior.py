@@ -11,7 +11,9 @@ quotient monotonicity independently, and checks two finite-window conditions
 for the m-gonal figurate families: the quotient bounds 1 < x(n) <= m on the
 quotients a caller supplies, and the Doslic sufficient criterion for
 log-concavity of sequences defined by a two-term recurrence with variable
-coefficients on [3, n_max], since the recurrence starts at n = 3.
+coefficients on [3, n_max], since the recurrence starts at n = 3. The margin
+and the quotient route each also take the terms in blocks, so that
+`figurate analyze` holds one block at a time.
 
 All verdicts are exact and window-scoped: a passing window means "no
 counterexample found on this window", never a claim about all n.
@@ -81,27 +83,27 @@ class PositiveSequence(Sequence):
     __slots__ = ("_numerators", "_denominators", "_terms")
 
     def __init__(self, terms: Iterable[int | Fraction]):
-        self._store(_exact_pair(position, term) for position, term in enumerate(terms, start=1))
-
-    @classmethod
-    def _from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> PositiveSequence:
-        """A sequence from (numerator, denominator) int pairs with denominators > 0."""
-        sequence = cls.__new__(cls)
-        sequence._store(pairs)
-        return sequence
-
-    def _store(self, pairs: Iterable[tuple[int, int]]) -> None:
         numerators: list[int] = []
         denominators: list[int] = []
-        for position, (numerator, denominator) in enumerate(pairs, start=1):
+        for position, term in enumerate(terms, start=1):
+            numerator, denominator = _exact_pair(position, term)
             if numerator <= 0:
-                raise ValueError(
-                    f"term {position} is not positive: {core._ratio_text(numerator, denominator)}"
-                )
+                raise _not_positive(position, numerator, denominator)
             numerators.append(numerator)
             denominators.append(denominator)
         if not numerators:
-            raise ValueError("a positive sequence needs at least one term")
+            raise ValueError(_NO_TERMS)
+        self._store(numerators, denominators)
+
+    @classmethod
+    def _from_pairs(cls, numerators: Sequence[int], denominators: Sequence[int]) -> PositiveSequence:
+        """A sequence from (numerator, denominator) pairs given as two int lists, checked
+        already: at least one pair, every numerator and denominator > 0."""
+        sequence = cls.__new__(cls)
+        sequence._store(numerators, denominators)
+        return sequence
+
+    def _store(self, numerators: Sequence[int], denominators: Sequence[int]) -> None:
         self._numerators = tuple(numerators)
         self._denominators = tuple(denominators)
         self._terms = None
@@ -148,6 +150,39 @@ def _exact_pair(position: int, term: int | Fraction) -> tuple[int, int]:
         f"term {position} has unsupported type {type(term).__name__};"
         " only exact ints or Fractions are accepted"
     )
+
+
+_NO_TERMS = "a positive sequence needs at least one term"
+
+
+def _not_positive(position: int, numerator: int, denominator: int) -> ValueError:
+    return ValueError(f"term {position} is not positive: {core._ratio_text(numerator, denominator)}")
+
+
+def _positive_blocks(
+    blocks: Iterable[tuple[list[int], list[int]]],
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Blocks of (numerator, denominator) pairs as two int lists, with denominators
+    > 0, passed on up to the first block that holds a term <= 0.
+
+    The blocks after it are still read, so that an error raised while making
+    them comes first. Then the first term <= 0 is raised as PositiveSequence
+    raises it, naming its 1-based position; so is an input with no terms.
+    """
+    seen = 0
+    error = None
+    for numerators, denominators in blocks:
+        if error is None:
+            if min(numerators, default=1) > 0:
+                yield numerators, denominators
+            else:
+                index = next(i for i, numerator in enumerate(numerators) if numerator <= 0)
+                error = _not_positive(seen + index + 1, numerators[index], denominators[index])
+        seen += len(numerators)
+    if error is not None:
+        raise error
+    if not seen:
+        raise ValueError(_NO_TERMS)
 
 
 def _as_sequence(seq: PositiveSequence | Iterable[int | Fraction]) -> PositiveSequence:
@@ -235,39 +270,9 @@ def classify_log_behavior(
     The scan stops once both first violations are known.
     """
     seq = _as_sequence(seq)
-    nums, dens = seq._numerators, seq._denominators
-    length = len(nums)
-    if length < 3:
-        return LogBehaviorReport(LogBehavior.INDETERMINATE)
-
-    first_negative: int | None = None
-    first_positive: int | None = None
-    triples = zip(range(2, length), nums, dens, nums[1:], dens[1:], nums[2:], dens[2:])
-    for j, p0, d0, a, b, p2, d2 in triples:
-        scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
-        if scaled < 0 and first_negative is None:
-            first_negative = j
-        elif scaled > 0 and first_positive is None:
-            first_positive = j
-        else:
-            continue
-        if first_negative and first_positive:
-            break
-
-    if first_negative is None and first_positive is None:
-        classification = LogBehavior.GEOMETRIC
-    elif first_negative is None:
-        classification = LogBehavior.LOG_CONCAVE
-    elif first_positive is None:
-        classification = LogBehavior.LOG_CONVEX
-    else:
-        classification = LogBehavior.NEITHER
-
-    return LogBehaviorReport(
-        classification,
-        first_concavity_violation=first_negative,
-        first_convexity_violation=first_positive,
-    )
+    scan = _MarginScan()
+    scan.feed(seq._numerators, seq._denominators)
+    return scan.report()
 
 
 def quotient_monotonicity(
@@ -282,34 +287,130 @@ def quotient_monotonicity(
     scan stops once both directions have been seen.
     """
     seq = _as_sequence(seq)
-    nums, dens = seq._numerators, seq._denominators
-    if len(nums) < 3:
-        return MonotonicityReport(Monotonicity.INDETERMINATE)
+    scan = _QuotientScan()
+    scan.feed(seq._numerators, seq._denominators)
+    return scan.report()
 
-    first_increase: int | None = None
-    first_decrease: int | None = None
-    quotients = _reduced_quotients(nums, dens)
-    for step, (before, after) in enumerate(itertools.pairwise(quotients), start=1):
-        order = _compare(after, before)
-        if order > 0 and first_increase is None:
-            first_increase = step
-        elif order < 0 and first_decrease is None:
-            first_decrease = step
+
+class _MarginScan:
+    """The margin route, fed the terms in blocks of (numerator, denominator)
+    pairs given as two int lists, with every term > 0.
+
+    Between blocks it keeps its last two terms and its first violations, so
+    its memory does not grow with the number of terms. It reads nothing of
+    the quotient route.
+    """
+
+    def __init__(self):
+        self._seen = 0  # terms fed so far
+        self._tail: tuple[Sequence[int], Sequence[int]] = ((), ())  # the last two of them
+        self._first_negative: int | None = None
+        self._first_positive: int | None = None
+
+    def feed(self, nums: Sequence[int], dens: Sequence[int]) -> None:
+        first_negative, first_positive = self._first_negative, self._first_positive
+        tail_nums, tail_dens = self._tail
+        # the index j of the middle term of the first triple
+        start = self._seen - len(tail_nums) + 2
+        self._seen += len(nums)
+        if first_negative and first_positive:
+            return
+        if tail_nums:
+            nums, dens = [*tail_nums, *nums], [*tail_dens, *dens]
+        triples = zip(itertools.count(start), nums, dens, nums[1:], dens[1:], nums[2:], dens[2:])
+        for j, p0, d0, a, b, p2, d2 in triples:
+            scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
+            if scaled < 0 and first_negative is None:
+                first_negative = j
+            elif scaled > 0 and first_positive is None:
+                first_positive = j
+            else:
+                continue
+            if first_negative and first_positive:
+                break
+        self._first_negative, self._first_positive = first_negative, first_positive
+        self._tail = nums[-2:], dens[-2:]
+
+    def report(self) -> LogBehaviorReport:
+        if self._seen < 3:
+            return LogBehaviorReport(LogBehavior.INDETERMINATE)
+        first_negative, first_positive = self._first_negative, self._first_positive
+        if first_negative is None and first_positive is None:
+            classification = LogBehavior.GEOMETRIC
+        elif first_negative is None:
+            classification = LogBehavior.LOG_CONCAVE
+        elif first_positive is None:
+            classification = LogBehavior.LOG_CONVEX
         else:
-            continue
-        if first_increase and first_decrease:
-            break
+            classification = LogBehavior.NEITHER
+        return LogBehaviorReport(
+            classification,
+            first_concavity_violation=first_negative,
+            first_convexity_violation=first_positive,
+        )
 
-    if first_increase is None and first_decrease is None:
-        return MonotonicityReport(Monotonicity.CONSTANT)
-    if first_increase is None:
-        return MonotonicityReport(Monotonicity.NON_INCREASING)
-    if first_decrease is None:
-        return MonotonicityReport(Monotonicity.NON_DECREASING)
-    return MonotonicityReport(
-        Monotonicity.NEITHER,
-        first_violation=max(first_increase, first_decrease),
-    )
+
+class _QuotientScan:
+    """The quotient route, fed the terms in blocks of (numerator, denominator)
+    pairs given as two int lists, with every term > 0.
+
+    Between blocks it keeps its last term, its last reduced quotient and the
+    first step in each direction, so its memory does not grow with the
+    number of terms. It reads nothing of the margin route.
+    """
+
+    def __init__(self):
+        self._seen = 0  # terms fed so far
+        self._last: tuple[Sequence[int], Sequence[int]] = ((), ())  # the last of them
+        self._quotient: tuple[int, int] | None = None  # the last quotient
+        self._first_increase: int | None = None
+        self._first_decrease: int | None = None
+
+    def feed(self, nums: Sequence[int], dens: Sequence[int]) -> None:
+        first_increase, first_decrease = self._first_increase, self._first_decrease
+        last_nums, last_dens = self._last
+        # step t compares x(t) with x(t + 1); the first new quotient is x(seen)
+        start = max(self._seen - 1, 1)
+        self._seen += len(nums)
+        if (first_increase and first_decrease) or not nums:
+            return
+        if last_nums:
+            nums, dens = [*last_nums, *nums], [*last_dens, *dens]
+        self._last = nums[-1:], dens[-1:]
+        quotients = _reduced_quotients(nums, dens)
+        before = self._quotient
+        if before is None:
+            before = next(quotients, None)  # x(1), once two terms are in
+            if before is None:
+                return
+        for step, after in enumerate(quotients, start=start):
+            order = _compare(after, before)
+            before = after
+            if order > 0 and first_increase is None:
+                first_increase = step
+            elif order < 0 and first_decrease is None:
+                first_decrease = step
+            else:
+                continue
+            if first_increase and first_decrease:
+                break
+        self._first_increase, self._first_decrease = first_increase, first_decrease
+        self._quotient = before
+
+    def report(self) -> MonotonicityReport:
+        if self._seen < 3:
+            return MonotonicityReport(Monotonicity.INDETERMINATE)
+        first_increase, first_decrease = self._first_increase, self._first_decrease
+        if first_increase is None and first_decrease is None:
+            return MonotonicityReport(Monotonicity.CONSTANT)
+        if first_increase is None:
+            return MonotonicityReport(Monotonicity.NON_INCREASING)
+        if first_decrease is None:
+            return MonotonicityReport(Monotonicity.NON_DECREASING)
+        return MonotonicityReport(
+            Monotonicity.NEITHER,
+            first_violation=max(first_increase, first_decrease),
+        )
 
 
 def _reduced_quotients(nums: Sequence[int], dens: Sequence[int]) -> Iterator[tuple[int, int]]:

@@ -16,6 +16,7 @@ takes grows with the integers kept, not with the text or its token count.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from figurate.core import _is_int
-from figurate.logbehavior import PositiveSequence
+from figurate.logbehavior import PositiveSequence, _positive_blocks
 
 __all__ = [
     "BFileRecord",
@@ -40,6 +41,10 @@ __all__ = [
 # ASCII digits only: int() alone would also take "1_0" and non-ASCII digits such as "\u0663"
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _TOKEN_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+# The line boundaries of str.splitlines, so that b-file lines are read one at a time.
+# The pattern is compiled (and cached by re) at first use, not at every start-up.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = f"[^{_LINE_BREAKS}]*(?:\r\n|[{_LINE_BREAKS}])|[^{_LINE_BREAKS}]+"
 # Characters taken at a time from a sequence file: a slice of a str, or one read() of a stream
 _READ_SIZE = 1 << 16
 
@@ -93,7 +98,8 @@ def parse_bfile(text: str | bytes) -> list[BFileRecord]:
     :class:`BFileStructureError` naming the line and the gap.
     """
     records: list[BFileRecord] = []
-    for line_number, raw in enumerate(_as_text(text).splitlines(), start=1):
+    for line_number, match in enumerate(re.finditer(_LINE, _as_text(text)), start=1):
+        raw = match.group().rstrip(_LINE_BREAKS)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -177,25 +183,52 @@ def parse_sequence_file(source: str | bytes | TextIO) -> PositiveSequence:
     an integer numerator and denominator, not reduced. An unparseable token,
     a zero denominator, or a number longer than Python's int/str digit limit
     (4300 digits by default) raises :class:`SequenceParseError` with its
-    1-based position. Only then is a non-positive term rejected by
-    :class:`~figurate.logbehavior.PositiveSequence`, with its position named.
-    A stream whose read() returns bytes raises TypeError.
+    1-based position. Only then is a non-positive term rejected, as
+    :class:`~figurate.logbehavior.PositiveSequence` rejects it, with its
+    position named. A stream whose read() returns bytes raises TypeError.
     """
     numerators: list[int] = []
     denominators: list[int] = []
-    for position, token in enumerate(_tokens(_chunks(source)), start=1):
-        if not _TOKEN_RE.match(token):
-            raise SequenceParseError(position, f"cannot parse {token!r}")
-        numerator, slash, denominator = token.partition("/")
-        try:
-            numerators.append(int(numerator))
-            denominators.append(int(denominator) if slash else 1)
-        except ValueError:
-            # The regex admits only digits, so int() fails only on the digit limit.
-            raise SequenceParseError(position, _over_limit()) from None
-        if not denominators[-1]:
-            raise SequenceParseError(position, f"zero denominator in {token!r}")
-    return PositiveSequence._from_pairs(zip(numerators, denominators))
+    for nums, dens in _positive_blocks(_pair_blocks(source)):
+        numerators += nums
+        denominators += dens
+    return PositiveSequence._from_pairs(numerators, denominators)
+
+
+def _pair_blocks(source: str | bytes | TextIO) -> Iterator[tuple[list[int], list[int]]]:
+    """The terms of a sequence file as (numerators, denominators), one block per chunk read.
+
+    A block holds the tokens that end in its chunk, so a token that a chunk
+    edge cuts is parsed with the chunk where it ends. The same two lists are
+    refilled for every block, and each chunk's tokens are dropped before the
+    next chunk is read, so a caller copies what it keeps before it asks for
+    the next block, and the reader holds one chunk's worth. A bad token
+    raises :class:`SequenceParseError` naming its 1-based position; the sign
+    of a term is not checked here.
+    """
+    numerators: list[int] = []
+    denominators: list[int] = []
+    position = 0
+    cut: list[str] = []  # the parts read so far of a token that runs over a chunk edge
+    # a last blank chunk ends the token that ends the text
+    for chunk in itertools.chain(_chunks(source), " "):
+        tokens = _ended_tokens(chunk, cut)
+        for position, token in enumerate(tokens, start=position + 1):
+            if not _TOKEN_RE.match(token):
+                raise SequenceParseError(position, f"cannot parse {token!r}")
+            numerator, slash, denominator = token.partition("/")
+            try:
+                numerators.append(int(numerator))
+                denominators.append(int(denominator) if slash else 1)
+            except ValueError:
+                # The regex admits only digits, so int() fails only on the digit limit.
+                raise SequenceParseError(position, _over_limit()) from None
+            if not denominators[-1]:
+                raise SequenceParseError(position, f"zero denominator in {token!r}")
+        del tokens
+        yield numerators, denominators
+        numerators.clear()
+        denominators.clear()
 
 
 def _chunks(source: str | bytes | TextIO) -> Iterator[str]:
@@ -213,24 +246,24 @@ def _chunks(source: str | bytes | TextIO) -> Iterator[str]:
         yield chunk
 
 
-def _tokens(chunks: Iterable[str]) -> Iterator[str]:
-    """The whitespace-separated tokens of text given in non-empty chunks.
+def _ended_tokens(chunk: str, cut: list[str]) -> list[str]:
+    """The whitespace-separated tokens that end in a non-empty chunk of text.
 
-    A token that a chunk edge cuts is kept as a list of its parts and joined
-    once it ends, so a long token costs time linear in its length.
+    `cut` holds the parts of a token that an earlier chunk edge cut, and is
+    left holding the parts of one that this chunk's edge cuts. A cut token
+    is joined once it ends, so a long token costs time linear in its length.
     """
-    cut: list[str] = []  # the parts read so far of a token that runs over a chunk edge
-    for chunk in chunks:
-        tokens = chunk.split()
-        if cut:
-            if not chunk[0].isspace():
-                cut.append(tokens.pop(0))
-                if not tokens and not chunk[-1].isspace():
-                    continue  # the whole chunk lies inside the token
-            yield "".join(cut)
-            cut = []
-        if tokens and not chunk[-1].isspace():
-            cut.append(tokens.pop())
-        yield from tokens
+    tokens = chunk.split()
     if cut:
-        yield "".join(cut)
+        if chunk[0].isspace():
+            tokens.insert(0, "".join(cut))
+        elif len(tokens) == 1 and not chunk[-1].isspace():
+            cut.append(chunk)  # the whole chunk lies inside the token
+            return []
+        else:
+            cut.append(tokens[0])
+            tokens[0] = "".join(cut)
+        cut.clear()
+    if tokens and not chunk[-1].isspace():
+        cut.append(tokens.pop())
+    return tokens

@@ -4,6 +4,9 @@ Both sides get the same input and must return identical reports, or raise
 the same exception type with the same message. figurate's parser gets each
 sequence file as a str, as bytes and as a text stream, also read one, two
 or seven characters at a time, so that chunk edges fall inside tokens.
+The margin and quotient accumulators get a sequence in blocks split
+anywhere, and `figurate analyze` must print what the oracle's reports and
+errors render to, at the same read sizes.
 """
 
 import io
@@ -11,13 +14,18 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_analyze as oracle
 from figurate import seqio
+from figurate.cli import cli
 from figurate.logbehavior import (
+    LogBehavior,
     PositiveSequence,
+    _MarginScan,
+    _QuotientScan,
     classify_log_behavior,
     quotient_monotonicity,
 )
@@ -232,3 +240,57 @@ class TestParsing:
         ]
         for text in texts:
             parses_as_the_oracle(text)
+
+
+def rendered(text):
+    """(exit code, stdout, stderr) of `figurate analyze` on text, as the oracle's
+    reports and errors render."""
+    try:
+        sequence = oracle.parse_sequence_file(text)
+    except ValueError as error:
+        return 2, "", f"error: {error}\n"
+    behavior = oracle.classify_log_behavior(sequence)
+    direction = oracle.quotient_monotonicity(sequence)
+    word = behavior.classification.value
+    if behavior.classification is LogBehavior.GEOMETRIC:
+        word += " (both)"
+    lines = [f"classification: {word}"]
+    if behavior.first_concavity_violation is not None:
+        lines.append(f"first concavity violation: j={behavior.first_concavity_violation}")
+    if behavior.first_convexity_violation is not None:
+        lines.append(f"first convexity violation: j={behavior.first_convexity_violation}")
+    lines.append(f"quotient direction: {direction.direction.value}")
+    if direction.first_violation is not None:
+        lines.append(f"first monotonicity break: step {direction.first_violation}")
+    code = 1 if behavior.classification is LogBehavior.NEITHER else 0
+    return code, "\n".join(lines) + "\n", ""
+
+
+class TestCommandLine:
+    """`figurate analyze` streams its input through both routes block by block;
+    what it prints must be what the oracle's reports and errors render to."""
+
+    @pytest.mark.parametrize("read_size", [seqio._READ_SIZE, 1, 2, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(text=sequence_texts())
+    def test_output_matches_the_oracle(self, read_size, text):
+        with mock.patch.object(seqio, "_READ_SIZE", read_size):
+            result = CliRunner().invoke(cli, ["analyze"], input=text)
+        assert (result.exit_code, result.stdout, result.stderr) == rendered(text)
+
+
+class TestBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(terms=shaped_terms(), data=st.data())
+    def test_any_split_into_blocks_gives_the_oracle_reports(self, terms, data):
+        # blocks of any size, empty ones included, fed to each route in turn
+        sequence = PositiveSequence(terms)
+        nums, dens = sequence._numerators, sequence._denominators
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(nums)), max_size=6)))
+        edges = list(zip([0, *cuts], [*cuts, len(nums)]))
+        margins, quotients = _MarginScan(), _QuotientScan()
+        for start, stop in edges:
+            margins.feed(list(nums[start:stop]), list(dens[start:stop]))
+            quotients.feed(list(nums[start:stop]), list(dens[start:stop]))
+        assert margins.report() == oracle.classify_log_behavior(terms)
+        assert quotients.report() == oracle.quotient_monotonicity(terms)

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from figurate.cli import _BLOCK_TERMS, cli
 from figurate.core import closed_form, generate_first_order, quotient_direct
 from figurate.seqio import emit_bfile, emit_csv, parse_bfile
 from faults import geometric, perturb, substitute, truncate
+
+
+INDETERMINATE = "classification: indeterminate\nquotient direction: indeterminate\n"
 
 
 @pytest.fixture
@@ -182,11 +186,6 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "classification: log-concave"
 
-    def test_short_input_is_indeterminate(self, runner):
-        result = runner.invoke(cli, ["analyze"], input="5 7\n")
-        assert result.exit_code == 0
-        assert "classification: indeterminate" in result.output
-
     def test_file_input(self, runner, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("1 2 4 8\n")
@@ -220,6 +219,78 @@ class TestAnalyze:
         assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
         assert result.stderr.count("\n") == 1
         assert result.stdout == ""
+
+    # analyze feeds each chunk's terms to both routes as it reads them, so its
+    # output must not depend on where the chunk edges fall
+    @pytest.fixture(params=[None, 1, 2, 7], ids=["default", "1", "2", "7"])
+    def read_size(self, request, monkeypatch):
+        # edges inside tokens, and inside the three-term window of the margins
+        if request.param is not None:
+            monkeypatch.setattr(seqio, "_READ_SIZE", request.param)
+
+    @pytest.mark.parametrize(
+        "text, stderr",
+        [
+            # a parse error after a non-positive term
+            ("12 -34 56 7x8 9\n", "error: token 4: cannot parse '7x8'\n"),
+            # a non-positive term after both margin violations and both quotient directions
+            ("1 1 2 3 5 8 0\n", "error: term 7 is not positive: 0\n"),
+            ("1 1 2 3 5 8 13 -4/6\n", "error: term 8 is not positive: -2/3\n"),
+            (" \n\t \r\n ", "error: a positive sequence needs at least one term\n"),
+        ],
+        ids=["parse-after-non-positive", "zero-after-both", "negative-after-both", "whitespace"],
+    )
+    def test_input_errors(self, runner, read_size, text, stderr):
+        result = runner.invoke(cli, ["analyze"], input=text)
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
+
+    def test_utf8_error_after_a_non_positive_term(self, runner, read_size):
+        result = runner.invoke(cli, ["analyze"], input=b"1 0 22 \xff 3\n")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("text", ["5\n", "5 7\n", "  1234567/89  \n1/2\n"])
+    def test_one_or_two_terms_are_indeterminate(self, runner, read_size, text):
+        result = runner.invoke(cli, ["analyze"], input=text)
+        assert (result.exit_code, result.stdout, result.stderr) == (0, INDETERMINATE, "")
+
+    def test_memory_does_not_grow_with_the_input(self, runner, tmp_path):
+        # One chunk's terms are held at a time, so ten times the terms (each a
+        # little longer) must not raise the peak; holding them all raised it by 7 MB.
+        paths = {}
+        for count in (10**4, 10**5):
+            paths[count] = tmp_path / f"{count}.txt"
+            paths[count].write_text(runner.invoke(cli, ["gen", "--m", "5", "--count", str(count)]).output)
+        assert paths[10**4].stat().st_size > seqio._READ_SIZE
+        analyze_peak(runner, paths[10**4])  # warm-up: first-use allocations are not the input's
+        small, large = (analyze_peak(runner, paths[count]) for count in (10**4, 10**5))
+        assert small[1] == large[1] == "classification: log-concave"
+        assert large[0] <= small[0] + 4096
+
+    def test_a_second_chunk_adds_nothing_to_the_peak(self, runner, tmp_path, monkeypatch):
+        # Each chunk's text, tokens and integers are dropped before the next
+        # chunk is read, so two equal chunks peak as high as one.
+        monkeypatch.setattr(seqio, "_READ_SIZE", 8192)
+        paths = [tmp_path / "1.txt", tmp_path / "2.txt"]
+        for chunks, path in enumerate(paths, start=1):
+            path.write_text("1234567 " * 1024 * chunks)
+        analyze_peak(runner, paths[0])  # warm-up
+        one, two = (analyze_peak(runner, path) for path in paths)
+        assert one[1] == two[1] == "classification: geometric (both)"
+        assert two[0] <= one[0] + 1024
+
+
+def analyze_peak(runner, path):
+    """The tracemalloc peak of `figurate analyze --input PATH`, and its first line of output."""
+    tracemalloc.start()
+    try:
+        result = runner.invoke(cli, ["analyze", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result.output.splitlines()[0]
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figurate.logbehavior import PositiveSequence
@@ -13,6 +13,7 @@ from figurate.seqio import (
     BFileRecord,
     BFileStructureError,
     SequenceParseError,
+    _INTEGER_RE,
     emit_bfile,
     emit_csv,
     parse_bfile,
@@ -20,6 +21,62 @@ from figurate.seqio import (
 )
 
 OVER_LIMIT = "over 4300 digits, Python's limit for converting text to int"
+# Every line boundary of str.splitlines, "\r\n" included
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def splitlines_parse_bfile(text):
+    """parse_bfile as it was when it split the whole text with str.splitlines()."""
+    records = []
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise BFileParseError(line_number, f"expected '<index> <value>', got {raw!r}")
+        if not all(map(_INTEGER_RE.match, fields)):
+            raise BFileParseError(line_number, f"non-integer field in {raw!r}")
+        index, value = map(int, fields)
+        if records and index != records[-1].index + 1:
+            raise BFileStructureError(
+                line_number, f"index gap: expected {records[-1].index + 1}, found {index}"
+            )
+        records.append(BFileRecord(index, value))
+    return records
+
+
+def outcome(function, *args):
+    """(result, None), or (None, (exception type, message, line number))."""
+    try:
+        return function(*args), None
+    except ValueError as error:
+        return None, (type(error), str(error), error.line_number)
+
+
+@st.composite
+def bfile_texts(draw):
+    """b-file text whose lines end in any str.splitlines boundary: mostly
+    rows with rising indices, with comments, blank lines, gaps and noise."""
+    lines = []
+    index = draw(st.integers(min_value=-2, max_value=3))
+    for kind in draw(st.lists(st.sampled_from("rrrrcbgn"), max_size=12)):
+        if kind == "r":
+            lines.append(f"{index} {draw(st.integers(min_value=-99, max_value=99))}")
+            index += 1
+        elif kind == "c":
+            lines.append("# " + draw(st.text(alphabet="ab 1#\t", max_size=4)))
+        elif kind == "b":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x1f"])))
+        elif kind == "g":
+            lines.append(f"{index + 2} 1")
+        else:
+            lines.append(draw(st.text(alphabet="12 x-\t", max_size=6)))
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + end for line, end in zip(lines, breaks))
+
 
 
 class TestParseBFile:
@@ -106,6 +163,25 @@ class TestParseBFile:
         # Callers that only care about "bad input" can catch one type.
         assert issubclass(BFileParseError, ValueError)
         assert issubclass(BFileStructureError, ValueError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=bfile_texts())
+    def test_lines_split_as_splitlines_splits_them(self, text):
+        assert outcome(parse_bfile, text) == outcome(splitlines_parse_bfile, text)
+
+    def test_memory_stays_below_the_text(self):
+        # Lines are matched one at a time, so the peak is about the parsed
+        # records, near 0.6 of the text here; a splitlines() list of the text
+        # alone is as large as the text, and with the records 1.6 times it.
+        text = "".join(f"{k} {7 * 10**999 + k}\n" for k in range(1, 4001))
+        tracemalloc.start()
+        try:
+            records = parse_bfile(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4000
+        assert peak < 0.75 * len(text)
 
 
 class TestEmitBFile:
