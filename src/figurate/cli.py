@@ -15,7 +15,7 @@ from collections.abc import Iterator
 import click
 
 from figurate import core
-from figurate.logbehavior import LogBehavior, _MarginScan, _positive_blocks, _QuotientScan
+from figurate.logbehavior import LogBehavior, _classify_blocks
 from figurate.seqio import _pair_blocks
 from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, _run_forked
 
@@ -91,25 +91,18 @@ def _echo_terms(texts: Iterator[str], fmt: str, column: str) -> None:
 @click.option(
     "--input",
     "source",
-    type=click.File("r"),
+    type=click.File("rb"),
     default="-",
     help="Sequence file (whitespace-separated integers or p/q rationals); defaults to stdin.",
 )
 def analyze(source):
     """Classify a positive sequence as log-concave, log-convex, geometric, or neither."""
-    # Each block of terms goes to both routes as it is read, so that one
-    # chunk's terms are held at a time; the input is still read to its end.
-    margins, quotients = _MarginScan(), _QuotientScan()
+    # one chunk's terms are held at a time; the input is still read to its end
     try:
-        for nums, dens in _positive_blocks(_pair_blocks(source)):
-            margins.feed(nums, dens)
-            quotients.feed(nums, dens)
+        behavior, direction = _classify_blocks(_pair_blocks(source))
     except ValueError as error:
         click.echo(f"error: {error}", err=True)
         sys.exit(EXIT_USAGE)
-
-    behavior = margins.report()
-    direction = quotients.report()
 
     word = behavior.classification.value
     if behavior.classification is LogBehavior.GEOMETRIC:

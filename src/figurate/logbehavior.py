@@ -12,8 +12,9 @@ for the m-gonal figurate families: the quotient bounds 1 < x(n) <= m on the
 quotients a caller supplies, and the Doslic sufficient criterion for
 log-concavity of sequences defined by a two-term recurrence with variable
 coefficients on [3, n_max], since the recurrence starts at n = 3. The margin
-and the quotient route each also take the terms in blocks, so that
-`figurate analyze` holds one block at a time.
+and the quotient route each read three consecutive terms at a time, so
+`figurate analyze` feeds both one block of terms, with the two terms before
+it, and holds one block at a time.
 
 All verdicts are exact and window-scoped: a passing window means "no
 counterexample found on this window", never a claim about all n.
@@ -270,9 +271,8 @@ def classify_log_behavior(
     The scan stops once both first violations are known.
     """
     seq = _as_sequence(seq)
-    scan = _MarginScan()
-    scan.feed(seq._numerators, seq._denominators)
-    return scan.report()
+    nums, dens = seq._numerators, seq._denominators
+    return _margin_report(len(nums), *_margin_signs(1, nums, dens))
 
 
 def quotient_monotonicity(
@@ -287,130 +287,106 @@ def quotient_monotonicity(
     scan stops once both directions have been seen.
     """
     seq = _as_sequence(seq)
-    scan = _QuotientScan()
-    scan.feed(seq._numerators, seq._denominators)
-    return scan.report()
+    nums, dens = seq._numerators, seq._denominators
+    return _quotient_report(len(nums), *_quotient_signs(1, nums, dens))
 
 
-class _MarginScan:
-    """The margin route, fed the terms in blocks of (numerator, denominator)
-    pairs given as two int lists, with every term > 0.
+def _classify_blocks(
+    blocks: Iterable[tuple[list[int], list[int]]],
+) -> tuple[LogBehaviorReport, MonotonicityReport]:
+    """Both routes' reports on terms given in blocks of (numerator, denominator)
+    pairs as two int lists, with denominators > 0.
 
-    Between blocks it keeps its last two terms and its first violations, so
-    its memory does not grow with the number of terms. It reads nothing of
-    the quotient route.
+    Each block is scanned with the two terms before it, so every three-term
+    window is scanned once and one block is held at a time. A term <= 0 and
+    an input with no terms raise as :func:`_positive_blocks` raises them.
     """
+    seen = 0  # terms read so far
+    nums: list[int] = []  # between blocks, the last two of them
+    dens: list[int] = []
+    margin = quotient = (None, None)  # each route's first index of each sign
+    for block_nums, block_dens in _positive_blocks(blocks):
+        first = seen - len(nums) + 1  # the index of the first term scanned
+        nums, dens = nums + block_nums, dens + block_dens
+        if not all(margin):
+            margin = _margin_signs(first, nums, dens, *margin)
+        if not all(quotient):
+            quotient = _quotient_signs(first, nums, dens, *quotient)
+        seen += len(block_nums)
+        nums, dens = nums[-2:], dens[-2:]  # drops this block before the next is read
+    return _margin_report(seen, *margin), _quotient_report(seen, *quotient)
 
-    def __init__(self):
-        self._seen = 0  # terms fed so far
-        self._tail: tuple[Sequence[int], Sequence[int]] = ((), ())  # the last two of them
-        self._first_negative: int | None = None
-        self._first_positive: int | None = None
 
-    def feed(self, nums: Sequence[int], dens: Sequence[int]) -> None:
-        first_negative, first_positive = self._first_negative, self._first_positive
-        tail_nums, tail_dens = self._tail
-        # the index j of the middle term of the first triple
-        start = self._seen - len(tail_nums) + 2
-        self._seen += len(nums)
-        if first_negative and first_positive:
-            return
-        if tail_nums:
-            nums, dens = [*tail_nums, *nums], [*tail_dens, *dens]
-        triples = zip(itertools.count(start), nums, dens, nums[1:], dens[1:], nums[2:], dens[2:])
-        for j, p0, d0, a, b, p2, d2 in triples:
-            scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
-            if scaled < 0 and first_negative is None:
-                first_negative = j
-            elif scaled > 0 and first_positive is None:
-                first_positive = j
-            else:
-                continue
-            if first_negative and first_positive:
-                break
-        self._first_negative, self._first_positive = first_negative, first_positive
-        self._tail = nums[-2:], dens[-2:]
-
-    def report(self) -> LogBehaviorReport:
-        if self._seen < 3:
-            return LogBehaviorReport(LogBehavior.INDETERMINATE)
-        first_negative, first_positive = self._first_negative, self._first_positive
-        if first_negative is None and first_positive is None:
-            classification = LogBehavior.GEOMETRIC
-        elif first_negative is None:
-            classification = LogBehavior.LOG_CONCAVE
-        elif first_positive is None:
-            classification = LogBehavior.LOG_CONVEX
+def _margin_signs(
+    first: int, nums: Sequence[int], dens: Sequence[int], first_negative=None, first_positive=None
+) -> tuple[int | None, int | None]:
+    """The first index j with a negative margin and the first with a positive
+    one, in terms whose first has index `first`; an index given is kept."""
+    triples = zip(itertools.count(first + 1), nums, dens, nums[1:], dens[1:], nums[2:], dens[2:])
+    for j, p0, d0, a, b, p2, d2 in triples:
+        scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
+        if scaled < 0 and first_negative is None:
+            first_negative = j
+        elif scaled > 0 and first_positive is None:
+            first_positive = j
         else:
-            classification = LogBehavior.NEITHER
-        return LogBehaviorReport(
-            classification,
-            first_concavity_violation=first_negative,
-            first_convexity_violation=first_positive,
-        )
+            continue
+        if first_negative and first_positive:
+            break
+    return first_negative, first_positive
 
 
-class _QuotientScan:
-    """The quotient route, fed the terms in blocks of (numerator, denominator)
-    pairs given as two int lists, with every term > 0.
+def _quotient_signs(
+    first: int, nums: Sequence[int], dens: Sequence[int], first_increase=None, first_decrease=None
+) -> tuple[int | None, int | None]:
+    """The first step t where the quotients increase and the first where they
+    decrease, in terms whose first has index `first`; a step given is kept.
+    Step t compares x(t) with x(t + 1)."""
+    quotients = _reduced_quotients(nums, dens)
+    for step, (before, after) in enumerate(itertools.pairwise(quotients), start=first):
+        order = _compare(after, before)
+        if order > 0 and first_increase is None:
+            first_increase = step
+        elif order < 0 and first_decrease is None:
+            first_decrease = step
+        else:
+            continue
+        if first_increase and first_decrease:
+            break
+    return first_increase, first_decrease
 
-    Between blocks it keeps its last term, its last reduced quotient and the
-    first step in each direction, so its memory does not grow with the
-    number of terms. It reads nothing of the margin route.
-    """
 
-    def __init__(self):
-        self._seen = 0  # terms fed so far
-        self._last: tuple[Sequence[int], Sequence[int]] = ((), ())  # the last of them
-        self._quotient: tuple[int, int] | None = None  # the last quotient
-        self._first_increase: int | None = None
-        self._first_decrease: int | None = None
+def _margin_report(length: int, first_negative, first_positive) -> LogBehaviorReport:
+    if length < 3:
+        return LogBehaviorReport(LogBehavior.INDETERMINATE)
+    if first_negative is None and first_positive is None:
+        classification = LogBehavior.GEOMETRIC
+    elif first_negative is None:
+        classification = LogBehavior.LOG_CONCAVE
+    elif first_positive is None:
+        classification = LogBehavior.LOG_CONVEX
+    else:
+        classification = LogBehavior.NEITHER
+    return LogBehaviorReport(
+        classification,
+        first_concavity_violation=first_negative,
+        first_convexity_violation=first_positive,
+    )
 
-    def feed(self, nums: Sequence[int], dens: Sequence[int]) -> None:
-        first_increase, first_decrease = self._first_increase, self._first_decrease
-        last_nums, last_dens = self._last
-        # step t compares x(t) with x(t + 1); the first new quotient is x(seen)
-        start = max(self._seen - 1, 1)
-        self._seen += len(nums)
-        if (first_increase and first_decrease) or not nums:
-            return
-        if last_nums:
-            nums, dens = [*last_nums, *nums], [*last_dens, *dens]
-        self._last = nums[-1:], dens[-1:]
-        quotients = _reduced_quotients(nums, dens)
-        before = self._quotient
-        if before is None:
-            before = next(quotients, None)  # x(1), once two terms are in
-            if before is None:
-                return
-        for step, after in enumerate(quotients, start=start):
-            order = _compare(after, before)
-            before = after
-            if order > 0 and first_increase is None:
-                first_increase = step
-            elif order < 0 and first_decrease is None:
-                first_decrease = step
-            else:
-                continue
-            if first_increase and first_decrease:
-                break
-        self._first_increase, self._first_decrease = first_increase, first_decrease
-        self._quotient = before
 
-    def report(self) -> MonotonicityReport:
-        if self._seen < 3:
-            return MonotonicityReport(Monotonicity.INDETERMINATE)
-        first_increase, first_decrease = self._first_increase, self._first_decrease
-        if first_increase is None and first_decrease is None:
-            return MonotonicityReport(Monotonicity.CONSTANT)
-        if first_increase is None:
-            return MonotonicityReport(Monotonicity.NON_INCREASING)
-        if first_decrease is None:
-            return MonotonicityReport(Monotonicity.NON_DECREASING)
-        return MonotonicityReport(
-            Monotonicity.NEITHER,
-            first_violation=max(first_increase, first_decrease),
-        )
+def _quotient_report(length: int, first_increase, first_decrease) -> MonotonicityReport:
+    if length < 3:
+        return MonotonicityReport(Monotonicity.INDETERMINATE)
+    if first_increase is None and first_decrease is None:
+        return MonotonicityReport(Monotonicity.CONSTANT)
+    if first_increase is None:
+        return MonotonicityReport(Monotonicity.NON_INCREASING)
+    if first_decrease is None:
+        return MonotonicityReport(Monotonicity.NON_DECREASING)
+    return MonotonicityReport(
+        Monotonicity.NEITHER,
+        first_violation=max(first_increase, first_decrease),
+    )
 
 
 def _reduced_quotients(nums: Sequence[int], dens: Sequence[int]) -> Iterator[tuple[int, int]]:

@@ -9,20 +9,23 @@ Formats are deliberately rigid so that emitted files are bit-exact:
 * sequence file: whitespace-separated integers or "p/q" rationals;
 * every number read is ASCII digits with an optional sign, no "_" separators.
 
-A sequence file may be given as a str, as bytes or as an open text file. It
-is read in chunks of a fixed size and parsed token by token, so the memory it
-takes grows with the integers kept, not with the text or its token count.
+A sequence file may be given as a str, as UTF-8 bytes or as an open text or
+binary file. It is read in chunks of a fixed size and parsed token by token,
+so the memory it takes grows with the integers kept, not with the text or its
+token count.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import itertools
 import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 from figurate.core import _is_int
 from figurate.logbehavior import PositiveSequence, _positive_blocks
@@ -45,7 +48,7 @@ _TOKEN_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 # The pattern is compiled (and cached by re) at first use, not at every start-up.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE = f"[^{_LINE_BREAKS}]*(?:\r\n|[{_LINE_BREAKS}])|[^{_LINE_BREAKS}]+"
-# Characters taken at a time from a sequence file: a slice of a str, or one read() of a stream
+# Characters or bytes taken at a time from a sequence file: a slice, or one read() of a stream
 _READ_SIZE = 1 << 16
 
 
@@ -175,17 +178,19 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_sequence_file(source: str | bytes | TextIO) -> PositiveSequence:
+def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequence:
     """Parse whitespace-separated integers or "p/q" rationals.
 
-    `source` is the text, as a str or UTF-8 bytes, or a text file object
-    open for reading, which is read to its end in chunks. Each token becomes
-    an integer numerator and denominator, not reduced. An unparseable token,
-    a zero denominator, or a number longer than Python's int/str digit limit
-    (4300 digits by default) raises :class:`SequenceParseError` with its
-    1-based position. Only then is a non-positive term rejected, as
+    `source` is the text, as a str or UTF-8 bytes, or a text or binary file
+    object open for reading, which is read to its end in chunks; a binary
+    one is read as UTF-8. Each token becomes an integer numerator and
+    denominator, not reduced. An unparseable token, a zero denominator, or a
+    number longer than Python's int/str digit limit (4300 digits by default)
+    raises :class:`SequenceParseError` with its 1-based position, and bytes
+    that are not UTF-8 raise ValueError with their 0-based byte offset. Only
+    then is a non-positive term rejected, as
     :class:`~figurate.logbehavior.PositiveSequence` rejects it, with its
-    position named. A stream whose read() returns bytes raises TypeError.
+    position named.
     """
     numerators: list[int] = []
     denominators: list[int] = []
@@ -195,7 +200,7 @@ def parse_sequence_file(source: str | bytes | TextIO) -> PositiveSequence:
     return PositiveSequence._from_pairs(numerators, denominators)
 
 
-def _pair_blocks(source: str | bytes | TextIO) -> Iterator[tuple[list[int], list[int]]]:
+def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list[int], list[int]]]:
     """The terms of a sequence file as (numerators, denominators), one block per chunk read.
 
     A block holds the tokens that end in its chunk, so a token that a chunk
@@ -231,19 +236,38 @@ def _pair_blocks(source: str | bytes | TextIO) -> Iterator[tuple[list[int], list
         denominators.clear()
 
 
-def _chunks(source: str | bytes | TextIO) -> Iterator[str]:
-    """The text of a sequence file in non-empty pieces of at most _READ_SIZE characters."""
-    if isinstance(source, (str, bytes)):
-        text = _as_text(source)
-        for start in range(0, len(text), _READ_SIZE):
-            yield text[start : start + _READ_SIZE]
+def _chunks(source: str | bytes | BinaryIO | TextIO) -> Iterator[str]:
+    """The text of a sequence file in non-empty pieces.
+
+    A str is sliced _READ_SIZE characters at a time. Bytes, whole or read
+    _READ_SIZE at a time from a binary stream, are decoded as UTF-8, and a
+    character cut by a read edge goes with the next piece. Bytes that are not
+    UTF-8, a cut last character included, raise ValueError naming their
+    0-based offset.
+    """
+    if isinstance(source, str):
+        for start in range(0, len(source), _READ_SIZE):
+            yield source[start : start + _READ_SIZE]
         return
-    while chunk := source.read(_READ_SIZE):
-        if not isinstance(chunk, str):
-            raise TypeError(
-                f"a sequence file must be open in text mode; read() returned {type(chunk).__name__}"
-            )
-        yield chunk
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # bytes read before this piece
+    reads = itertools.takewhile(len, map(source.read, itertools.repeat(_READ_SIZE)))
+    # a last b"" flushes the decoder, so that a cut last character is an error
+    for piece in itertools.chain(reads, [b""]):
+        if isinstance(piece, str):
+            yield piece
+            continue
+        try:
+            text = decoder.decode(piece, final=not piece)
+        except UnicodeDecodeError as error:
+            # error.start counts from the bytes of a cut character that the decoder holds
+            at = offset - len(decoder.getstate()[0]) + error.start
+            raise ValueError(f"not UTF-8 at byte {at}: {error.reason}") from None
+        offset += len(piece)
+        if text:
+            yield text
 
 
 def _ended_tokens(chunk: str, cut: list[str]) -> list[str]:

@@ -2,11 +2,11 @@
 
 Both sides get the same input and must return identical reports, or raise
 the same exception type with the same message. figurate's parser gets each
-sequence file as a str, as bytes and as a text stream, also read one, two
-or seven characters at a time, so that chunk edges fall inside tokens.
-The margin and quotient accumulators get a sequence in blocks split
-anywhere, and `figurate analyze` must print what the oracle's reports and
-errors render to, at the same read sizes.
+sequence file as a str, as bytes, as a text stream and as a binary stream,
+also read one, two or seven characters or bytes at a time, so that chunk
+edges fall inside tokens and inside characters. The block reader of both
+routes gets a sequence in blocks split anywhere, and `figurate analyze` must
+print what the oracle's reports and errors render to, at the same read sizes.
 """
 
 import io
@@ -24,8 +24,7 @@ from figurate.cli import cli
 from figurate.logbehavior import (
     LogBehavior,
     PositiveSequence,
-    _MarginScan,
-    _QuotientScan,
+    _classify_blocks,
     classify_log_behavior,
     quotient_monotonicity,
 )
@@ -161,8 +160,8 @@ def sequence_texts(draw):
 
 
 def sources(text):
-    """The same sequence file as a str, as UTF-8 bytes and as a text stream."""
-    return text, text.encode(), io.StringIO(text)
+    """The same sequence file as a str, as UTF-8 bytes, and as a text and a binary stream."""
+    return text, text.encode(), io.StringIO(text), io.BytesIO(text.encode())
 
 
 def parses_as_the_oracle(text, read_size=seqio._READ_SIZE):
@@ -197,6 +196,7 @@ class TestParsing:
             "12 345 6789 1234567/89",  # tokens longer than a chunk
             "1\r\n2\r\n4\r\n",  # "\r\n" split by an edge at read sizes 1 and 2
             "1\x852\x854 8\x85",  # NEL is whitespace to str.split
+            "1\u20282 é 4",  # characters of two and three UTF-8 bytes, cut by read edges
             "1 2  4   8 ",
             "  \n\t ",
             "7 x 3/0",
@@ -221,10 +221,24 @@ class TestParsing:
             with pytest.raises(ValueError, match="needs at least one term"):
                 parse_sequence_file(io.StringIO(" \n\r\n\t\x85 "))
 
-    def test_binary_stream_is_refused(self):
-        # refused at the first read, before any bytes reach the tokenizer
-        with pytest.raises(TypeError, match="text mode; read\\(\\) returned bytes"):
-            parse_sequence_file(io.BytesIO(b"1 2 3"))
+    def test_binary_stream_parses_as_its_utf8_text(self):
+        assert parse_sequence_file(io.BytesIO(b"1 2 3")) == parse_sequence_file("1 2 3")
+
+    @pytest.mark.parametrize("read_size", [seqio._READ_SIZE, 1, 2, 7])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"1 " * 70000 + b"\xff 2\n", "not UTF-8 at byte 140000: invalid start byte"),
+            (b"12\xc3x 5", "not UTF-8 at byte 2: invalid continuation byte"),
+            (b"1 2 \xc3", "not UTF-8 at byte 4: unexpected end of data"),
+        ],
+        ids=["after-many-reads", "cut-then-bad", "cut-at-the-end"],
+    )
+    def test_bytes_not_utf8_name_their_offset(self, read_size, data, message):
+        with mock.patch.object(seqio, "_READ_SIZE", read_size):
+            for source in (data, io.BytesIO(data)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    parse_sequence_file(source)
 
     def test_fixed_cases_match_the_oracle(self):
         texts = [
@@ -283,14 +297,12 @@ class TestBlocks:
     @settings(max_examples=200, deadline=None)
     @given(terms=shaped_terms(), data=st.data())
     def test_any_split_into_blocks_gives_the_oracle_reports(self, terms, data):
-        # blocks of any size, empty ones included, fed to each route in turn
         sequence = PositiveSequence(terms)
         nums, dens = sequence._numerators, sequence._denominators
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(nums)), max_size=6)))
-        edges = list(zip([0, *cuts], [*cuts, len(nums)]))
-        margins, quotients = _MarginScan(), _QuotientScan()
-        for start, stop in edges:
-            margins.feed(list(nums[start:stop]), list(dens[start:stop]))
-            quotients.feed(list(nums[start:stop]), list(dens[start:stop]))
-        assert margins.report() == oracle.classify_log_behavior(terms)
-        assert quotients.report() == oracle.quotient_monotonicity(terms)
+        expected = oracle.classify_log_behavior(terms), oracle.quotient_monotonicity(terms)
+        drawn = sorted(data.draw(st.lists(st.integers(0, len(nums)), max_size=6)))
+        # blocks of any size, empty ones included, and every term in its own block
+        for cuts in (drawn, range(1, len(nums))):
+            edges = zip([0, *cuts], [*cuts, len(nums)])
+            blocks = ((list(nums[start:stop]), list(dens[start:stop])) for start, stop in edges)
+            assert _classify_blocks(blocks) == expected, list(cuts)
