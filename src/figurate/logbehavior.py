@@ -317,14 +317,28 @@ def _classify_blocks(
     return _margin_report(seen, *margin), _quotient_report(seen, *quotient)
 
 
+_WIDE_BITS = 1024  # a wider middle term goes to _wide_margin: the crossover measured on integers
+_TOP_BITS = 64  # the leading bits of each factor that a bracket reads
+
+
 def _margin_signs(
     first: int, nums: Sequence[int], dens: Sequence[int], first_negative=None, first_positive=None
 ) -> tuple[int | None, int | None]:
     """The first index j with a negative margin and the first with a positive
-    one, in terms whose first has index `first`; an index given is kept."""
+    one, in terms whose first has index `first`; an index given is kept.
+
+    With terms p0/d0, a/b and p2/d2 at j - 1, j and j + 1, the margin has the
+    sign of the integer a^2 d0 d2 - p0 p2 b^2. When a or b is wider than
+    _WIDE_BITS, :func:`_wide_margin` finds that sign, mostly without the long
+    products; either way the sign is exact.
+    """
+    wide = 1 << _WIDE_BITS
     triples = zip(itertools.count(first + 1), nums, dens, nums[1:], dens[1:], nums[2:], dens[2:])
     for j, p0, d0, a, b, p2, d2 in triples:
-        scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
+        if a < wide and b < wide:
+            scaled = a * a * (d0 * d2) - p0 * p2 * (b * b)
+        else:
+            scaled = _wide_margin(p0, d0, a, b, p2, d2)
         if scaled < 0 and first_negative is None:
             first_negative = j
         elif scaled > 0 and first_positive is None:
@@ -334,6 +348,44 @@ def _margin_signs(
         if first_negative and first_positive:
             break
     return first_negative, first_positive
+
+
+def _wide_margin(p0: int, d0: int, a: int, b: int, p2: int, d2: int) -> int:
+    """An int with the sign of a^2 d0 d2 - p0 p2 b^2, for positive ints.
+
+    Each factor x lies in [t 2^s, (t + 1) 2^s) for its top bits t (:func:`_top`).
+    So each side lies in [low 2^e, high 2^e) for integers low and high formed
+    from the six t's, and two brackets that do not overlap give the sign. When
+    they overlap, a^2 = p0 p2 and d0 d2 = b^2 give an exact 0, as at every step
+    of a geometric run in lowest terms; otherwise the exact difference is formed.
+    """
+    (ta, sa), (tb, sb) = _top(a), _top(b)
+    (tp0, sp0), (td0, sd0) = _top(p0), _top(d0)
+    (tp2, sp2), (td2, sd2) = _top(p2), _top(d2)
+    left_low = ta * ta * td0 * td2
+    left_high = (ta + 1) * (ta + 1) * (td0 + 1) * (td2 + 1)
+    right_low = tp0 * tp2 * tb * tb
+    right_high = (tp0 + 1) * (tp2 + 1) * (tb + 1) * (tb + 1)
+    shift = (2 * sa + sd0 + sd2) - (sp0 + sp2 + 2 * sb)  # both sides to the smaller e
+    if shift > 0:
+        left_low, left_high = left_low << shift, left_high << shift
+    else:
+        right_low, right_high = right_low << -shift, right_high << -shift
+    if left_low >= right_high:
+        return 1
+    if left_high <= right_low:
+        return -1
+    squared, outer, across, inner = a * a, p0 * p2, d0 * d2, b * b
+    if squared == outer and across == inner:
+        return 0
+    return squared * across - outer * inner
+
+
+def _top(x: int) -> tuple[int, int]:
+    """(t, s) with t the top _TOP_BITS bits of x > 0, zero-filled when x is
+    narrower, so that t 2^s <= x < (t + 1) 2^s."""
+    shift = x.bit_length() - _TOP_BITS
+    return (x >> shift, shift) if shift >= 0 else (x << -shift, shift)
 
 
 def _quotient_signs(

@@ -49,11 +49,20 @@ bad_terms = st.one_of(
 @st.composite
 def shaped_terms(draw):
     """Term lists built from a monotone or constant quotient list, so that
-    every classification is drawn, not only "neither"."""
+    every classification is drawn, not only "neither"; or wide near ties."""
+    shape = draw(st.sampled_from(["down", "up", "flat", "raw", "near-tie"]))
+    if shape == "near-tie":
+        # ~3000-bit terms a unit or two apart, over one wide denominator or
+        # none: margins near 2^-3000 of the terms, which their leading bits
+        # cannot decide. x is a 60-bit top, shifted, plus a small offset, so
+        # that carries run through the leading bits.
+        x = (draw(st.integers(2**59, 2**61)) << 2940) + draw(st.integers(-2, 2))
+        y = draw(st.sampled_from([1, 2**3001 - 1]))  # its prime factors exceed 6000
+        offsets = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=26))
+        return [Fraction(x + offset, y) if y > 1 else x + offset for offset in offsets]
     start = draw(positive_terms)
     # Small ratios keep every term well below the 4300-digit int/str limit.
     ratios = draw(st.lists(small_rationals, min_size=0, max_size=25))
-    shape = draw(st.sampled_from(["down", "up", "flat", "raw"]))
     if shape == "down":
         ratios.sort(reverse=True)
     elif shape == "up":

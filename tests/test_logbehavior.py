@@ -48,6 +48,62 @@ positive_terms = st.one_of(st.integers(min_value=1, max_value=10_000), positive_
 term_lists = st.lists(positive_terms, min_size=1, max_size=30)
 
 
+@st.composite
+def near_ties(draw):
+    """Runs whose margins are 0, or tiny next to their terms, so that the
+    leading bits of the terms cannot decide them; with terms narrower and
+    wider than logbehavior._WIDE_BITS."""
+    length = draw(st.integers(min_value=3, max_value=12))
+    kind = draw(st.sampled_from(["integers", "powers", "scaled", "one side"]))
+    if kind == "integers":
+        # x - 1, x, x + 1 and x, x, x + 1 among them; x is a 60-bit top, shifted,
+        # plus a small offset, so that carries run through the leading bits
+        top = draw(st.integers(min_value=2**59, max_value=2**61))
+        x = (top << draw(st.sampled_from([0, 963, 2940]))) + draw(st.integers(-2, 2))
+        return [x + draw(st.integers(-1, 1)) for _ in range(length)]
+    if kind == "powers":
+        n = draw(st.integers(min_value=length, max_value=900))
+        return [3**k * 5 ** (n - k) for k in range(length)]
+    if kind == "scaled":
+        # in lowest terms, as Fractions reduce c r^k
+        c = draw(st.integers(min_value=1, max_value=2**3000))
+        ratio = draw(positive_rationals)
+        return [c * ratio**k for k in range(length)]
+    # a tie on one side only: 2^k 3^(n-k) on one side, and numbers y + 6i,
+    # coprime to 6, on the other, so that no term reduces
+    n = draw(st.integers(min_value=length, max_value=900))
+    y = 6 * draw(st.integers(min_value=2, max_value=2**3000)) + draw(st.sampled_from([1, 5]))
+    tied = [2**k * 3 ** (n - k) for k in range(length)]
+    near = [y + 6 * draw(st.integers(-1, 1)) for _ in range(length)]
+    if draw(st.booleans()):
+        tied, near = near, tied
+    return [Fraction(p, q) for p, q in zip(tied, near)]
+
+
+X = 2**3000
+# Steps (p0, d0, a, b, p2, d2) whose margin a^2 d0 d2 - p0 p2 b^2 is nonzero but
+# 2^-60 of either side or less. In the first four, below its top 64 bits, each
+# factor is all zeros (X, X - 2^2936, X - 2^2937) or all ones (X - 1,
+# X + 2^2937 - 1). So a bracket one unit of one factor's top bits too narrow,
+# on the side and through the factor named, gives the wrong sign.
+NEAR_TIES = [
+    (X - 2**2936, X - 1, X - 1, X, X, X - 1),  # the lower bound of p0 p2 b^2, through p2
+    (X, X - 1, X - 1, X, X - 2**2937, X - 1),  # the same bound, through b
+    (X - 1, X, X, X - 1, X + 2**2937 - 1, X),  # its upper bound, through p2
+    (X - 1, X, X, X - 1, X - 1, X - 2**2936),  # the same bound, through b
+    (1, X - 1, 1, X, 1, X + 1),  # a^2 = p0 p2 but d0 d2 = b^2 - 1
+]
+
+
+def mirrored(step):
+    """The step, with its ends swapped, and with every term inverted: the same
+    margin, the same, and minus it, with each factor moved to another place."""
+    p0, d0, a, b, p2, d2 = step
+    for q0, e0, q2, e2 in ((p0, d0, p2, d2), (p2, d2, p0, d0)):
+        yield q0, e0, a, b, q2, e2
+        yield e0, q0, b, a, e2, q2
+
+
 class TestPositiveSequence:
     def test_accepts_ints_and_fractions(self):
         seq = PositiveSequence([1, Fraction(1, 2), 3])
@@ -131,7 +187,8 @@ class TestClassification:
         assert report.first_concavity_violation == 2
         assert report.first_convexity_violation is None
 
-    @given(terms=st.lists(positive_terms, min_size=3, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    @given(terms=st.one_of(st.lists(positive_terms, min_size=3, max_size=30), near_ties()))
     def test_margins_match_naive_oracle(self, terms):
         # the first violations are the first negative and the first positive
         # naive margin, even though the scan stops once it has both
@@ -141,6 +198,14 @@ class TestClassification:
         report = classify_log_behavior(PositiveSequence(terms))
         assert report.first_concavity_violation == (negative[0] if negative else None)
         assert report.first_convexity_violation == (positive[0] if positive else None)
+
+    @pytest.mark.parametrize("step", [s for step in NEAR_TIES for s in mirrored(step)])
+    def test_margin_signs_of_near_ties(self, step):
+        p0, d0, a, b, p2, d2 = step
+        margin = a * a * d0 * d2 - p0 * p2 * b * b
+        assert margin != 0 and abs(margin) < a * a * d0 * d2 >> 60
+        expected = (2, None) if margin < 0 else (None, 2)
+        assert logbehavior._margin_signs(1, (p0, a, p2), (d0, b, d2)) == expected
 
     @given(terms=term_lists, scale=positive_rationals)
     def test_classification_survives_scaling(self, terms, scale):
