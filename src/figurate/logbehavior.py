@@ -11,7 +11,8 @@ quotient monotonicity independently, and checks two finite-window conditions
 for the m-gonal figurate families: the quotient bounds 1 < x(n) <= m on the
 quotients a caller supplies, and the Doslic sufficient criterion for
 log-concavity of sequences defined by a two-term recurrence with variable
-coefficients on [3, n_max], since the recurrence starts at n = 3. The margin
+coefficients on [3, n_max], since the recurrence starts at n = 3. The Doslic
+scan itself is `figurate.verify`'s, shared with its `doslic` check. The margin
 and the quotient route each read three consecutive terms at a time, so
 `figurate analyze` feeds both one block of terms, with the two terms before
 it, and holds one block at a time.
@@ -29,14 +30,13 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from figurate import core
-from figurate.core import _check_index, _check_polygon_order, _compare, _doslic_delta, _is_int
+from figurate import core, verify
+from figurate.core import _check_index, _check_polygon_order, _compare, _is_int
 
 __all__ = [
     "LogBehavior",
     "Monotonicity",
     "PositiveSequence",
-    "ConditionFlag",
     "LogBehaviorReport",
     "MonotonicityReport",
     "BoundsReport",
@@ -78,12 +78,15 @@ class PositiveSequence(Sequence):
     iteration, equality, hashing and repr use Fractions, built from those
     integers on first use. Floats (not exact) and bools (not numbers) are
     rejected outright, and any term <= 0 is rejected with an error naming
-    its 1-based position and its value in lowest terms.
+    its 1-based position and its value in lowest terms. Bytes, a bytearray or
+    a memoryview as the whole input is a TypeError: their items are byte
+    values, not terms (`figurate.parse_sequence_file` reads text as bytes).
     """
 
     __slots__ = ("_numerators", "_denominators", "_terms")
 
     def __init__(self, terms: Iterable[int | Fraction]):
+        _reject_bytes(terms)
         numerators: list[int] = []
         denominators: list[int] = []
         for position, term in enumerate(terms, start=1):
@@ -153,6 +156,14 @@ def _exact_pair(position: int, term: int | Fraction) -> tuple[int, int]:
     )
 
 
+def _reject_bytes(values) -> None:
+    if isinstance(values, (bytes, bytearray, memoryview)):
+        raise TypeError(
+            f"got a {type(values).__name__}, whose items are byte values, not terms;"
+            " parse it with figurate.parse_sequence_file"
+        )
+
+
 _NO_TERMS = "a positive sequence needs at least one term"
 
 
@@ -193,17 +204,6 @@ def _as_sequence(seq: PositiveSequence | Iterable[int | Fraction]) -> PositiveSe
 
 
 @dataclass(frozen=True)
-class ConditionFlag:
-    """Outcome of a per-index condition: the first failing index, or None when it holds."""
-
-    first_failure: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_failure is None
-
-
-@dataclass(frozen=True)
 class LogBehaviorReport:
     """Exact classification of a finite positive sequence.
 
@@ -232,32 +232,37 @@ class MonotonicityReport:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Check of the quotient bounds 1 < x(n) <= m at the positions 1..len(quotients)."""
+    """Check of the quotient bounds 1 < x(n) <= m at the positions 1..len(quotients).
 
-    lower: ConditionFlag
-    upper: ConditionFlag
+    first_lower_violation is the smallest position n with x(n) <= 1,
+    first_upper_violation the smallest with x(n) > m; None where none fails.
+    """
+
+    first_lower_violation: int | None = None
+    first_upper_violation: int | None = None
 
 
 @dataclass(frozen=True)
 class CriterionReport:
     """Check of the Doslic log-concavity criterion on the window [3, n_max].
 
-    The four conditions: r_nonneg (R(n) >= 0 on the window), t_nonpos
-    (T(n) <= 0 on the window), seed_step_ok (x(3) >= x(4): the quotient
-    sequence does not increase at the window start), and delta_condition
-    (dR(n) * x(n - 2) + dT(n) <= 0 on the window, where
-    dR(n) = R(n+1) - R(n) and dT(n) = T(n+1) - T(n)).
+    Each field is the first n in the window where its condition fails, or
+    None where it holds: first_r_violation the first n with R(n) < 0,
+    first_t_violation the first with T(n) > 0, seed_step_violation 3 when
+    x(3) < x(4) (the quotient sequence increases at the window start), and
+    first_delta_violation the first n with dR(n) * x(n - 2) + dT(n) > 0, where
+    dR(n) = R(n+1) - R(n) and dT(n) = T(n+1) - T(n).
     """
 
-    r_nonneg: ConditionFlag
-    t_nonpos: ConditionFlag
-    seed_step_ok: ConditionFlag
-    delta_condition: ConditionFlag
+    first_r_violation: int | None = None
+    first_t_violation: int | None = None
+    seed_step_violation: int | None = None
+    first_delta_violation: int | None = None
 
     @property
     def verdict(self) -> bool:
-        flags = (self.r_nonneg, self.t_nonpos, self.seed_step_ok, self.delta_condition)
-        return all(flag.ok for flag in flags)
+        """True when all four conditions hold on the window."""
+        return self == CriterionReport()
 
 
 def classify_log_behavior(
@@ -459,11 +464,14 @@ def check_quotient_bounds(
     """Verify 1 < x(n) <= m for every supplied quotient (1-based positions).
 
     Each quotient must be an int or a Fraction; anything else, floats and
-    bools included, raises TypeError naming its position. With x = p/q and q > 0,
+    bools included, raises TypeError naming its position, and bytes, a
+    bytearray or a memoryview as the whole input raises it as
+    :class:`PositiveSequence` does. With x = p/q and q > 0,
     the bounds are decided on integers: x <= 1 when p <= q, x > m when
     p > m q.
     """
     _check_polygon_order(m)
+    _reject_bytes(quotients)
     pairs = [_exact_pair(position, x) for position, x in enumerate(quotients, start=1)]
     if not pairs:
         raise ValueError("bounds check needs at least one quotient")
@@ -474,10 +482,7 @@ def check_quotient_bounds(
             first_low = position
         if p > m * q and first_high is None:
             first_high = position
-    return BoundsReport(
-        lower=ConditionFlag(first_low),
-        upper=ConditionFlag(first_high),
-    )
+    return BoundsReport(first_low, first_high)
 
 
 def check_doslic_criterion(m: int, n_max: int) -> CriterionReport:
@@ -491,37 +496,12 @@ def check_doslic_criterion(m: int, n_max: int) -> CriterionReport:
     * x(3) >= x(4);
     * dR(n) * x(n - 2) + dT(n) <= 0 for n in [3, n_max].
 
-    Every condition is decided on integers: R(n) = r/d and T(n) = t/d with
-    d > 0, and a quotient pair whose denominator is <= 0 fails its condition.
+    The scan is `figurate.verify`'s, the one its `doslic` check runs, and
+    decides every condition on integers.
     """
     _check_polygon_order(m)
     _check_index(n_max, minimum=3, what="n_max")
-    # read first, so that a short quotient stream names its earliest missing index
-    quotients = itertools.islice(core._direct_quotients(m), 2, None)
-    (seed, _), (following, _) = core._window(3, 4, quotients)
-    seed_ok = min(seed[1], following[1]) > 0 and _compare(seed, following) >= 0
-
-    first_r = first_t = first_delta = None  # the first n where each condition fails
-    coefficients = core._coefficients(m)
-    ((here, _),) = core._window(3, 3, coefficients)
-    # the rest of the coefficients, from n + 1, and x(n - 2), for each n
-    for ahead, x, n in core._window(3, n_max, coefficients, core._direct_quotients(m)):
-        delta_fails = x[1] <= 0 or _doslic_delta(here, ahead, x) > 0
-        if here[0] < 0 or here[1] > 0 or delta_fails:
-            if here[0] < 0 and first_r is None:
-                first_r = n
-            if here[1] > 0 and first_t is None:
-                first_t = n
-            if delta_fails and first_delta is None:
-                first_delta = n
-        here = ahead
-
-    return CriterionReport(
-        r_nonneg=ConditionFlag(first_r),
-        t_nonpos=ConditionFlag(first_t),
-        seed_step_ok=ConditionFlag(None if seed_ok else 3),
-        delta_condition=ConditionFlag(first_delta),
-    )
+    return CriterionReport(*verify._doslic_failures(m, n_max))
 
 
 def margin_sequence(m: int, count: int) -> list[int]:

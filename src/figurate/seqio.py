@@ -157,11 +157,18 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
     """Render named columns as CSV with exact values.
 
     Integers render in decimal, rationals as "p/q" in lowest terms; any other
-    value, a bool or a float included, raises TypeError. All columns must be
-    the same length; an empty mapping is an error.
+    value, a bool or a float included, raises TypeError. A column name must
+    be a str without ",", "\\r" or "\\n", so that the header has one field
+    per column. All columns must be the same length; an empty mapping is an
+    error.
     """
     if not columns:
         raise ValueError("cannot emit CSV with no columns")
+    for name in columns:
+        if not isinstance(name, str):
+            raise TypeError(f"column {name!r} is named by a {type(name).__name__}, not a str")
+        if any(mark in name for mark in ",\r\n"):
+            raise ValueError(f"column {name!r} has a comma or a line break in its name")
     lengths = {len(values) for values in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
@@ -181,14 +188,14 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
 def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequence:
     """Parse whitespace-separated integers or "p/q" rationals.
 
-    `source` is the text, as a str or UTF-8 bytes, or a text or binary file
-    object open for reading, which is read to its end in chunks; a binary
-    one is read as UTF-8. Each token becomes an integer numerator and
-    denominator, not reduced. An unparseable token, a zero denominator, or a
-    number longer than Python's int/str digit limit (4300 digits by default)
-    raises :class:`SequenceParseError` with its 1-based position, and bytes
-    that are not UTF-8 raise ValueError with their 0-based byte offset. Only
-    then is a non-positive term rejected, as
+    `source` is the text, as a str or UTF-8 bytes (a bytearray and a
+    memoryview too), or a text or binary file object open for reading, which
+    is read to its end in chunks; a binary one is read as UTF-8. Each token
+    becomes an integer numerator and denominator, not reduced. An unparseable
+    token, a zero denominator, or a number longer than Python's int/str digit
+    limit (4300 digits by default) raises :class:`SequenceParseError` with its
+    1-based position, and bytes that are not UTF-8 raise ValueError with their
+    0-based byte offset. Only then is a non-positive term rejected, as
     :class:`~figurate.logbehavior.PositiveSequence` rejects it, with its
     position named.
     """
@@ -249,7 +256,7 @@ def _chunks(source: str | bytes | BinaryIO | TextIO) -> Iterator[str]:
         for start in range(0, len(source), _READ_SIZE):
             yield source[start : start + _READ_SIZE]
         return
-    if isinstance(source, bytes):
+    if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(source)
     decoder = codecs.getincrementaldecoder("utf-8")()
     offset = 0  # bytes read before this piece

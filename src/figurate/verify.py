@@ -9,7 +9,8 @@ exact counterexample, reported as (check, m, n, witness). The checks:
 * monotonicity: quotients strictly decrease and the direct and recurrence
   quotient routes agree;
 * margins: every log-concavity margin is > 0;
-* doslic: the Doslic criterion conditions hold on [3, n_max].
+* doslic: the Doslic criterion conditions hold on [3, n_max]. Its scan,
+  `_doslic_failures`, also serves `logbehavior.check_doslic_criterion`.
 
 Both strict conditions hold for every m >= 3 and n >= 1, so a tied quotient
 or a zero margin is a counterexample like any other.
@@ -26,9 +27,10 @@ pairs compared by cross-multiplication and rendered by `core._ratio_text`,
 never as a `Fraction`; a zero or negative S(n) is a counterexample of each
 check whose condition it breaks.
 
-The generators are looked up on `figurate.core` at each call, and the kernels
-on this module at each sweep, never imported by name: replacing a generator
-there puts a fault into every check that reads it, and a kernel its check.
+The generators and the Doslic delta are looked up on `figurate.core` at each
+call, and the kernels on this module at each sweep, never imported by name:
+replacing a generator there puts a fault into every check that reads it, and a
+kernel its check.
 
 `run_verify_sweep` runs in the calling process. Where `os.fork` exists, the
 `figurate verify` command runs the checks in two processes instead, with the
@@ -37,6 +39,7 @@ same output (`_run_forked`); any failure there means the serial sweep.
 
 from __future__ import annotations
 
+import itertools
 import marshal
 import os
 from collections.abc import Iterable
@@ -44,7 +47,6 @@ from dataclasses import astuple, dataclass, field, replace
 
 from figurate import core
 from figurate.core import _compare, _is_int, _ratio_text
-from figurate.logbehavior import check_doslic_criterion
 
 __all__ = [
     "CHECK_NAMES",
@@ -241,19 +243,46 @@ def _check_margins(m, n_max):
     return None
 
 
+def _doslic_failures(m, n_max):
+    """The first n on [3, n_max] where each Doslic condition fails, or None where it holds:
+    R(n) < 0, T(n) > 0, x(3) < x(4) (at n = 3) and dR(n) x(n - 2) + dT(n) > 0, in
+    that order. R(n) = r/d and T(n) = t/d with d > 0, and a quotient pair whose
+    denominator is <= 0 fails its condition."""
+    # read first, so that a short quotient stream names its earliest missing index
+    quotients = itertools.islice(core._direct_quotients(m), 2, None)
+    (seed, _), (following, _) = core._window(3, 4, quotients)
+    seed_ok = min(seed[1], following[1]) > 0 and _compare(seed, following) >= 0
+    first_r = first_t = first_delta = None
+    delta = core._doslic_delta
+    coefficients = core._coefficients(m)
+    ((here, _),) = core._window(3, 3, coefficients)
+    # the rest of the coefficients, from n + 1, and x(n - 2), for each n
+    for ahead, x, n in core._window(3, n_max, coefficients, core._direct_quotients(m)):
+        delta_fails = x[1] <= 0 or delta(here, ahead, x) > 0
+        if here[0] < 0 or here[1] > 0 or delta_fails:
+            if here[0] < 0 and first_r is None:
+                first_r = n
+            if here[1] > 0 and first_t is None:
+                first_t = n
+            if delta_fails and first_delta is None:
+                first_delta = n
+        here = ahead
+    return first_r, first_t, None if seed_ok else 3, first_delta
+
+
+# the witness of each condition, in the order of _doslic_failures
+_DOSLIC_WITNESSES = (
+    "R(n) < 0",
+    "T(n) > 0",
+    "quotient increases at the window start",
+    "dR(n)x(n-2) + dT(n) > 0",
+)
+
+
 def _check_doslic(m, n_max):
     """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
-    report = check_doslic_criterion(m, n_max)
-    conditions = (
-        (report.r_nonneg, "R(n) < 0"),
-        (report.t_nonpos, "T(n) > 0"),
-        (report.seed_step_ok, "quotient increases at the window start"),
-        (report.delta_condition, "dR(n)x(n-2) + dT(n) > 0"),
-    )
-    for flag, witness in conditions:
-        if not flag.ok:
-            return flag.first_failure, witness
-    return None
+    failures = zip(_doslic_failures(m, n_max), _DOSLIC_WITNESSES)
+    return next(((n, witness) for n, witness in failures if n is not None), None)
 
 
 def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:

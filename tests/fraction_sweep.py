@@ -5,7 +5,8 @@ the former figurate.verify and figurate.logbehavior code, kept verbatim
 (the criterion renamed to fraction_doslic_criterion) except that, as in
 figurate.verify now, the checks are strict: a zero margin or a tied quotient
 is a counterexample, a summary carries no notes, and the criterion checks
-the one window [3, n_max] and reports no window. Every condition is
+the one window [3, n_max] and reports no window, and the bounds and
+criterion reports hold each first failure as a plain int or None. Every condition is
 decided on Fractions, and each check builds full lists of length n_max and
 runs its own loop over m.
 tests/test_verify.py requires run_fraction_sweep and
@@ -26,7 +27,6 @@ from figurate.core import (
     quotient_recurrence,
 )
 from figurate.logbehavior import (
-    ConditionFlag,
     CriterionReport,
     check_quotient_bounds,
     margin_sequence,
@@ -58,11 +58,11 @@ def _check_bounds(m, config, corrupt_at):
     quotients = quotient_direct(m, config.n_max)
     report = check_quotient_bounds(m, quotients)
     violations = []
-    if not report.lower.ok:
-        n = report.lower.first_failure
+    if report.first_lower_violation is not None:
+        n = report.first_lower_violation
         violations.append((n, f"x({n})={quotients[n - 1]} is not > 1"))
-    if not report.upper.ok:
-        n = report.upper.first_failure
+    if report.first_upper_violation is not None:
+        n = report.first_upper_violation
         violations.append((n, f"x({n})={quotients[n - 1]} exceeds m={m}"))
     seeds = (
         (1, Fraction(m)),
@@ -124,10 +124,10 @@ def fraction_doslic_criterion(m, n_max, *, r_of=None, t_of=None):
     seed_ok = seeds[2] >= seeds[3]
 
     return CriterionReport(
-        r_nonneg=ConditionFlag(first_r),
-        t_nonpos=ConditionFlag(first_t),
-        seed_step_ok=ConditionFlag(None if seed_ok else 3),
-        delta_condition=ConditionFlag(first_delta),
+        first_r_violation=first_r,
+        first_t_violation=first_t,
+        seed_step_violation=None if seed_ok else 3,
+        first_delta_violation=first_delta,
     )
 
 
@@ -139,14 +139,14 @@ def _check_doslic(m, config, corrupt_at):
     report = fraction_doslic_criterion(m, config.n_max)
     if report.verdict:
         return None
-    if not report.r_nonneg.ok:
-        n, witness = report.r_nonneg.first_failure, "R(n) < 0"
-    elif not report.t_nonpos.ok:
-        n, witness = report.t_nonpos.first_failure, "T(n) > 0"
-    elif not report.seed_step_ok.ok:
-        n, witness = report.seed_step_ok.first_failure, "quotient increases at the window start"
+    if report.first_r_violation is not None:
+        n, witness = report.first_r_violation, "R(n) < 0"
+    elif report.first_t_violation is not None:
+        n, witness = report.first_t_violation, "T(n) > 0"
+    elif report.seed_step_violation is not None:
+        n, witness = report.seed_step_violation, "quotient increases at the window start"
     else:
-        n = report.delta_condition.first_failure
+        n = report.first_delta_violation
         witness = "dR(n)x(n-2) + dT(n) > 0"
     return Counterexample("doslic", m, n, witness)
 

@@ -479,6 +479,7 @@ class TestEntryPoints:
             "recurrence_coefficients",
             "ReferenceTable",
             "REFERENCE_TABLES",
+            "ConditionFlag",
         ):
             assert not hasattr(figurate, name)
             assert not any(hasattr(module, name) for module in modules)

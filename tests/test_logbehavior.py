@@ -3,12 +3,13 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figurate import core, logbehavior
+from figurate import core, logbehavior, verify
 from figurate.core import (
     closed_form,
     coefficient_r,
@@ -16,7 +17,7 @@ from figurate.core import (
     quotient_direct,
 )
 from figurate.logbehavior import (
-    ConditionFlag,
+    CriterionReport,
     LogBehavior,
     LogBehaviorReport,
     Monotonicity,
@@ -27,6 +28,7 @@ from figurate.logbehavior import (
     margin_sequence,
     quotient_monotonicity,
 )
+from figurate.seqio import parse_sequence_file
 from faults import perturb
 from fraction_sweep import fraction_doslic_criterion
 
@@ -261,46 +263,50 @@ class TestQuotientMonotonicity:
         assert classification is expected[direction]
 
 
-class TestConditionFlag:
-    @pytest.mark.parametrize("flag, ok", [(ConditionFlag(), True), (ConditionFlag(7), False)])
-    def test_a_flag_is_ok_exactly_when_nothing_failed(self, flag, ok):
-        assert flag.ok is ok
+BYTES_READERS = {
+    "PositiveSequence": PositiveSequence,
+    "classify_log_behavior": classify_log_behavior,
+    "quotient_monotonicity": quotient_monotonicity,
+    "check_quotient_bounds": partial(check_quotient_bounds, 3),
+}
 
-    def test_a_flag_has_no_ok_field(self):
-        assert [field.name for field in dataclasses.fields(ConditionFlag)] == ["first_failure"]
-        with pytest.raises(TypeError):
-            ConditionFlag(False, 7)
-        with pytest.raises(TypeError):
-            ConditionFlag(ok=True)
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+@pytest.mark.parametrize("function", BYTES_READERS.values(), ids=BYTES_READERS)
+def test_bytes_are_not_terms(function, kind):
+    # iterated, b"1 3 6 10 15" would be the terms 49, 32, 51, ...
+    with pytest.raises(TypeError, match=f"got a {kind.__name__}, .*figurate.parse_sequence_file"):
+        function(kind(b"1 3 6 10 15"))
+    function([1, 3, 6, 10, 15])
+    assert parse_sequence_file(kind(b"1 3 6 10 15")) == PositiveSequence([1, 3, 6, 10, 15])
 
 
 class TestQuotientBounds:
     def test_true_quotients_stay_in_bounds(self):
         for m in (3, 4, 5, 12, 50):
             report = check_quotient_bounds(m, quotient_direct(m, 100))
-            assert report.lower.ok and report.upper.ok
-            assert [field.name for field in dataclasses.fields(report)] == ["lower", "upper"]
+            assert report.first_lower_violation is None and report.first_upper_violation is None
+            assert [field.name for field in dataclasses.fields(report)] == [
+                "first_lower_violation", "first_upper_violation"
+            ]
 
     def test_lower_violation_position(self):
         report = check_quotient_bounds(3, [Fraction(3), Fraction(1)])
-        assert not report.lower.ok
-        assert report.lower.first_failure == 2
-        assert report.upper.ok
+        assert report.first_lower_violation == 2
+        assert report.first_upper_violation is None
 
     def test_upper_violation_position(self):
         report = check_quotient_bounds(3, [Fraction(3), Fraction(4)])
-        assert not report.upper.ok
-        assert report.upper.first_failure == 2
+        assert report.first_upper_violation == 2
 
     def test_upper_bound_is_attained_at_the_start(self):
         # x(1) = m sits exactly on the closed upper bound.
         report = check_quotient_bounds(9, [Fraction(9)])
-        assert report.lower.ok and report.upper.ok
+        assert report.first_lower_violation is None and report.first_upper_violation is None
 
     def test_lower_bound_is_strict(self):
         report = check_quotient_bounds(4, [Fraction(1)])
-        assert not report.lower.ok
-        assert report.lower.first_failure == 1
+        assert report.first_lower_violation == 1
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -332,9 +338,8 @@ class TestQuotientBounds:
         low = [position for position, x in enumerate(quotients, start=1) if x <= 1]
         high = [position for position, x in enumerate(quotients, start=1) if x > m]
         report = check_quotient_bounds(m, quotients)
-        assert report.lower.first_failure == (low[0] if low else None)
-        assert report.upper.first_failure == (high[0] if high else None)
-        assert (report.lower.ok and report.upper.ok) == (not low and not high)
+        assert report.first_lower_violation == (low[0] if low else None)
+        assert report.first_upper_violation == (high[0] if high else None)
 
 
 class TestMarginSequence:
@@ -383,16 +388,13 @@ class TestDoslicCriterion:
         report = check_doslic_criterion(3, 3)
         assert report.verdict
         assert [field.name for field in dataclasses.fields(report)] == [
-            "r_nonneg", "t_nonpos", "seed_step_ok", "delta_condition"
+            "first_r_violation", "first_t_violation", "seed_step_violation", "first_delta_violation"
         ]
 
     def test_wide_window_passes(self):
         report = check_doslic_criterion(3, 100)
         assert report.verdict
-        assert report.r_nonneg.ok
-        assert report.t_nonpos.ok
-        assert report.seed_step_ok.ok
-        assert report.delta_condition.ok
+        assert report == CriterionReport(None, None, None, None)
 
     def test_all_small_orders_pass(self):
         for m in range(3, 20):
@@ -410,15 +412,13 @@ class TestDoslicCriterion:
     def test_injected_positive_t_is_caught(self, monkeypatch):
         perturb(monkeypatch, "_coefficients", (3, 3), lambda c: (c[0], -c[1], c[2]))
         report = check_doslic_criterion(3, 10)
-        assert not report.t_nonpos.ok
-        assert report.t_nonpos.first_failure == 3
+        assert report.first_t_violation == 3
         assert not report.verdict
 
     def test_injected_negative_r_is_caught(self, monkeypatch):
         perturb(monkeypatch, "_coefficients", (3, 3), lambda c: (-c[0], c[1], c[2]))
         report = check_doslic_criterion(3, 10)
-        assert not report.r_nonneg.ok
-        assert report.r_nonneg.first_failure == 3
+        assert report.first_r_violation == 3
         assert not report.verdict
 
     @pytest.mark.parametrize("n_max", [3, 40, 80])
@@ -480,8 +480,8 @@ class TestDoslicCriterion:
 
     def test_window_ends_at_n_max(self, monkeypatch):
         perturb(monkeypatch, "_coefficients", (3, 10), lambda c: (-c[0], c[1], c[2]))
-        assert check_doslic_criterion(3, 9).r_nonneg.ok
-        assert check_doslic_criterion(3, 10).r_nonneg.first_failure == 10
+        assert check_doslic_criterion(3, 9).first_r_violation is None
+        assert check_doslic_criterion(3, 10).first_r_violation == 10
 
     @pytest.mark.parametrize("crooked", [False, True])
     @pytest.mark.parametrize("n_max", [3, 50])
@@ -494,16 +494,20 @@ class TestDoslicCriterion:
                 t_of=lambda n: Fraction(n - 25, 4),
             ))
         calls = []
-        real_delta = logbehavior._doslic_delta
+        real_delta = core._doslic_delta
 
         def counted(*arguments):
             calls.append(arguments)
             return real_delta(*arguments)
 
-        monkeypatch.setattr(logbehavior, "_doslic_delta", counted)
+        monkeypatch.setattr(core, "_doslic_delta", counted)
         report = check_doslic_criterion(3, n_max)
         assert len(calls) == n_max - 2
         assert report.verdict is not (crooked and n_max == 50)
+        calls.clear()
+        found = verify._check_doslic(3, n_max)
+        assert len(calls) == n_max - 2
+        assert (found is None) is report.verdict
 
 
 class TestEnumRendering:

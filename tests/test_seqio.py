@@ -1,5 +1,6 @@
 """Tests for b-file, CSV, and sequence-file reading and writing."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -263,6 +264,18 @@ class TestEmitCsv:
     def test_rejects_bools(self):
         with pytest.raises(TypeError, match="column 'b' holds bool"):
             emit_csv({"a": [1, 2], "b": [3, True]})
+
+    @pytest.mark.parametrize("name", ["a,b", "a\rb", "a\nb", ",", "a\r\n"])
+    def test_rejects_a_name_that_would_split_the_header(self, name):
+        # {"a,b": [1]} would give two header fields over one-field rows
+        with pytest.raises(ValueError, match=re.escape(f"column {name!r} has a comma")):
+            emit_csv({"x": [1], name: [2]})
+
+    @pytest.mark.parametrize("name", [1, None, b"a", ("a",)])
+    def test_rejects_a_name_that_is_not_a_str(self, name):
+        message = f"column {name!r} is named by a {type(name).__name__}, not a str"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            emit_csv({"x": [1], name: [2]})
 
 
 class TestParseSequenceFile:

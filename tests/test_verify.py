@@ -29,6 +29,7 @@ from figurate.core import (
     coefficient_t,
     gnomon,
 )
+from figurate.logbehavior import check_doslic_criterion
 from figurate.verify import (
     CHECK_NAMES,
     CheckSummary,
@@ -569,6 +570,44 @@ class TestFaultsThroughTheSeam:
         assert run_verify_sweep(config).first_counterexample == Counterexample(
             "doslic", 7, k + 2, f"stream ended before n={k + 2}"
         )
+
+
+# (core stream, index of the changed value, change, CriterionReport field of the
+# first violation, its n, the doslic witness): one fault aimed at each condition
+DOSLIC_FAULTS = [
+    ("_coefficients", 12, lambda c: (-c[0], c[1], c[2]), "first_r_violation", 12, "R(n) < 0"),
+    ("_coefficients", 12, lambda c: (c[0], -c[1], c[2]), "first_t_violation", 12, "T(n) > 0"),
+    (
+        "_direct_quotients",
+        4,
+        lambda x: (2 * x[0], x[1]),
+        "seed_step_violation",
+        3,
+        "quotient increases at the window start",
+    ),
+    ("_direct_quotients", 10, lambda x: (0, x[1]), "first_delta_violation", 12, DELTA),
+]
+
+
+class TestOneDoslicScan:
+    """`check_doslic_criterion` and the `doslic` check read one scan, so they name one n."""
+
+    @pytest.mark.parametrize("m", [3, 7, 50])
+    @pytest.mark.parametrize(
+        "name, index, change, first, n, witness", DOSLIC_FAULTS, ids=["R", "T", "seed-step", "delta"]
+    )
+    def test_the_report_names_the_counterexample(
+        self, monkeypatch, m, name, index, change, first, n, witness
+    ):
+        perturb(monkeypatch, name, (m, index), change)
+        report = check_doslic_criterion(m, 60)
+        failures = [(f.name, getattr(report, f.name)) for f in dataclasses.fields(report)]
+        assert [failure for failure in failures if failure[1] is not None][0] == (first, n)
+        # all five checks, so that _run_forked forks
+        config = VerifySweepConfig(m_from=m, m_to=m, n_max=60)
+        for sweep in (run_verify_sweep, verify._run_forked):
+            summary = sweep(config).summary_for("doslic")
+            assert summary.counterexample == Counterexample("doslic", m, n, witness)
 
 
 def open_fds():
