@@ -1,7 +1,8 @@
-"""Command-line surface: generate, analyze, verify.
+"""Command-line surface: generate, analyze, verify; seqio lays out each b-file and CSV line.
 
 Exit codes: 0 on success, 1 on a mathematical violation (a "neither"
 classification or a failed verification check), 2 on usage or input errors.
+A closed stdout ends the process by SIGPIPE, as it ends `seq`.
 Reports go to stdout, diagnostics to stderr, and every number printed is
 exact (integers or "p/q" rationals, never decimals).
 """
@@ -14,15 +15,12 @@ from collections.abc import Iterator
 
 import click
 
-from figurate import core
+from figurate import core, seqio
 from figurate.logbehavior import LogBehavior, _classify_blocks
-from figurate.seqio import _pair_blocks
 from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, _run_forked
 
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-# Terms that gen and quotients render and write per click.echo call
-_BLOCK_TERMS = 4096
 
 @click.group()
 def cli():
@@ -43,7 +41,7 @@ def cli():
 def gen(m: int, count: int, fmt: str):
     """Print the first COUNT m-gonal figurate numbers."""
     terms = itertools.islice(core._first_order_terms(m), count)
-    _echo_terms(map(str, terms), fmt, "S")
+    _echo_sequence(map(str, terms), fmt, "S")
 
 
 @cli.command()
@@ -60,31 +58,18 @@ def gen(m: int, count: int, fmt: str):
 def quotients(m: int, count: int, fmt: str):
     """Print the exact quotients x(n) = S(n+1)/S(n) for n = 1..COUNT."""
     quotients = itertools.islice(core._direct_quotients(m), count)
-    _echo_terms(itertools.starmap(core._ratio_text, quotients), fmt, "x")
+    _echo_sequence(itertools.starmap(core._ratio_text, quotients), fmt, "x")
 
 
-def _echo_terms(texts: Iterator[str], fmt: str, column: str) -> None:
-    """Write rendered terms n = 1, 2, ... in a format, _BLOCK_TERMS at a time.
-
-    The output is byte for byte the one string for all terms: the plain
-    line joined by spaces, what emit_bfile writes, or what emit_csv writes
-    with the columns "n" and `column`.
-    """
-    if fmt == "csv":
-        click.echo(f"n,{column}")
-    separator = " " if fmt == "bfile" else ","
-    lead = ""
-    first = 1
-    while block := list(itertools.islice(texts, _BLOCK_TERMS)):
-        if fmt == "plain":
-            click.echo(lead + " ".join(block), nl=False)
-            lead = " "
-        else:
-            rows = (f"{n}{separator}{text}\n" for n, text in enumerate(block, start=first))
-            click.echo("".join(rows), nl=False)
-        first += len(block)
-    if fmt == "plain":
-        click.echo()
+def _echo_sequence(texts: Iterator[str], fmt: str, column: str) -> None:
+    """Write rendered terms n = 1, 2, ...: a b-file or CSV as seqio lays it out, or one plain line."""
+    if fmt != "plain":
+        for piece in seqio._term_lines(fmt, column, texts):
+            click.echo(piece, nl=False)
+        return
+    for index, block in enumerate(seqio._blocks(texts)):
+        click.echo((" " if index else "") + " ".join(block), nl=False)
+    click.echo()
 
 
 @cli.command()
@@ -99,7 +84,7 @@ def analyze(source):
     """Classify a positive sequence as log-concave, log-convex, geometric, or neither."""
     # one chunk's terms are held at a time; the input is still read to its end
     try:
-        behavior, direction = _classify_blocks(_pair_blocks(source))
+        behavior, direction = _classify_blocks(seqio._pair_blocks(source))
     except ValueError as error:
         click.echo(f"error: {error}", err=True)
         sys.exit(EXIT_USAGE)
@@ -189,6 +174,11 @@ def _print_sweep_report(report: SweepReport, fmt: str) -> None:
 
 def main():
     """Console entry point."""
+    import signal  # here, not at the top: only the console entry pays its ~1.5 ms import
+
+    # a closed stdout ends the process as it ends `seq`, by SIGPIPE, not with exit code 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     cli()
 
 

@@ -1,6 +1,7 @@
 """Reading and writing sequence data: OEIS b-files, CSV, and term lists.
 
-Formats are deliberately rigid so that emitted files are bit-exact:
+Formats are deliberately rigid, and one writer renders every b-file and CSV
+line, _BLOCK_TERMS lines to a text piece, so that emitted files are bit-exact:
 
 * b-file: one "<index> <value>" line per term, '#' comment lines, indices
   strictly increasing by 1;
@@ -12,7 +13,7 @@ Formats are deliberately rigid so that emitted files are bit-exact:
 A sequence file may be given as a str, as UTF-8 bytes or as an open text or
 binary file. It is read in chunks of a fixed size and parsed token by token,
 so the memory it takes grows with the integers kept, not with the text or its
-token count.
+token count. For bytes that are not UTF-8, both readers raise one error naming the offset.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE = f"[^{_LINE_BREAKS}]*(?:\r\n|[{_LINE_BREAKS}])|[^{_LINE_BREAKS}]+"
 # Characters or bytes taken at a time from a sequence file: a slice, or one read() of a stream
 _READ_SIZE = 1 << 16
+_BLOCK_TERMS = 4096  # lines (or plain terms) that a writer joins into one text piece
 
 
 class BFileParseError(ValueError):
@@ -86,22 +88,28 @@ def _over_limit() -> str:
     return f"over {sys.get_int_max_str_digits()} digits, Python's limit for converting text to int"
 
 
-def _as_text(data: str | bytes) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+def _not_utf8(error: UnicodeDecodeError, offset: int = 0) -> ValueError:
+    """The error for bytes that are not UTF-8; `offset` bytes came before the decoded ones."""
+    return ValueError(f"not UTF-8 at byte {offset + error.start}: {error.reason}")
 
 
 def parse_bfile(text: str | bytes) -> list[BFileRecord]:
     """Parse b-file text into records, enforcing the +1 index progression.
 
+    `text` is a str or UTF-8 bytes (a bytearray and a memoryview too); bytes
+    that are not UTF-8 raise ValueError naming their 0-based byte offset.
     Lines beginning with '#' and blank lines are skipped. A malformed line,
     or a field longer than Python's int/str digit limit, raises
     :class:`BFileParseError` naming the line; an index gap raises
     :class:`BFileStructureError` naming the line and the gap.
     """
+    if not isinstance(text, str):
+        try:
+            text = str(text, "utf-8")  # in one piece: joined pieces would hold the text twice
+        except UnicodeDecodeError as error:
+            raise _not_utf8(error) from None
     records: list[BFileRecord] = []
-    for line_number, match in enumerate(re.finditer(_LINE, _as_text(text)), start=1):
+    for line_number, match in enumerate(re.finditer(_LINE, text), start=1):
         raw = match.group().rstrip(_LINE_BREAKS)
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -140,17 +148,15 @@ def emit_bfile(offset: int, values: Iterable[int]) -> str:
     """
     if not _is_int(offset):
         raise TypeError(f"b-file offset must be an int, got {type(offset).__name__}")
-    lines = []
-    for index, value in enumerate(values, start=offset):
+    values = list(values)
+    for position, value in enumerate(values, start=1):
         if not _is_int(value):
             raise TypeError(
-                f"b-file value {index - offset + 1} is a {type(value).__name__}; "
-                "only ints are accepted"
+                f"b-file value {position} is a {type(value).__name__}; only ints are accepted"
             )
-        lines.append(f"{index} {value}\n")
-    if not lines:
+    if not values:
         raise ValueError("cannot emit an empty b-file")
-    return "".join(lines)
+    return "".join(_lines(zip(map(str, itertools.count(offset)), map(str, values)), " "))
 
 
 def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
@@ -179,10 +185,25 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
                     f"column {name!r} holds {type(value).__name__}; "
                     "only exact ints or Fractions are accepted"
                 )
-    lines = [",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(str(value) for value in row))
-    return "\n".join(lines) + "\n"
+    rows = zip(*(map(str, values) for values in columns.values()))
+    return "".join(_lines(itertools.chain([tuple(columns)], rows), ","))
+
+
+def _term_lines(fmt: str, column: str, texts: Iterable[str]) -> Iterator[str]:
+    """Rendered terms n = 1, 2, ... as "bfile" text, or as "csv" with the columns "n" and `column`."""
+    rows = zip(map(str, itertools.count(1)), texts)
+    return _lines(rows, " ") if fmt == "bfile" else _lines(itertools.chain([("n", column)], rows), ",")
+
+
+def _lines(rows: Iterable[Iterable[str]], separator: str) -> Iterator[str]:
+    """Rows of rendered fields, a CSV header first, as text pieces of _BLOCK_TERMS lines each."""
+    # each row is joined as it is read, so zip can reuse its tuple, and a block holds lines only
+    return ("\n".join(lines) + "\n" for lines in _blocks(map(separator.join, rows)))
+
+
+def _blocks(items: Iterator) -> Iterator[list]:
+    """The rest of an iterator in lists of _BLOCK_TERMS, the last one shorter and none empty."""
+    return iter(lambda: list(itertools.islice(items, _BLOCK_TERMS)), [])
 
 
 def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequence:
@@ -270,8 +291,7 @@ def _chunks(source: str | bytes | BinaryIO | TextIO) -> Iterator[str]:
             text = decoder.decode(piece, final=not piece)
         except UnicodeDecodeError as error:
             # error.start counts from the bytes of a cut character that the decoder holds
-            at = offset - len(decoder.getstate()[0]) + error.start
-            raise ValueError(f"not UTF-8 at byte {at}: {error.reason}") from None
+            raise _not_utf8(error, offset - len(decoder.getstate()[0])) from None
         offset += len(piece)
         if text:
             yield text

@@ -46,7 +46,7 @@ from collections.abc import Iterable
 from dataclasses import astuple, dataclass, field, replace
 
 from figurate import core
-from figurate.core import _compare, _is_int, _ratio_text
+from figurate.core import _check_index, _compare, _is_int, _ratio_text
 
 __all__ = [
     "CHECK_NAMES",
@@ -79,21 +79,17 @@ class VerifySweepConfig:
     checks: tuple[str, ...] = CHECK_NAMES
 
     def __post_init__(self):
-        for name in ("m_from", "m_to", "n_max"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        _check_index(self.m_from, 3, "m_from")
+        _check_index(self.n_max, 3, "n_max")
+        if not _is_int(self.m_to):
+            raise TypeError(f"m_to must be an int, got {type(self.m_to).__name__}")
+        if self.m_to < self.m_from:
+            raise ValueError(f"m_to must be >= m_from, got {self.m_to} < {self.m_from}")
         if isinstance(self.checks, str) or not isinstance(self.checks, Iterable):
             raise TypeError(
                 "checks must be a sequence of check names,"
                 f" not the {type(self.checks).__name__} {self.checks!r}"
             )
-        if self.m_from < 3:
-            raise ValueError(f"m_from must be >= 3, got {self.m_from}")
-        if self.m_to < self.m_from:
-            raise ValueError(f"m_to must be >= m_from, got {self.m_to} < {self.m_from}")
-        if self.n_max < 3:
-            raise ValueError(f"n_max must be >= 3, got {self.n_max}")
         checks = tuple(self.checks)
         unknown = [name for name in checks if name not in CHECK_NAMES]
         if unknown:

@@ -22,7 +22,7 @@ from figurate.logbehavior import (
     Monotonicity,
     MonotonicityReport,
 )
-from figurate.seqio import _TOKEN_RE, SequenceParseError, _as_text
+from figurate.seqio import _TOKEN_RE, SequenceParseError
 
 
 class FractionSequence(Sequence):
@@ -164,8 +164,10 @@ def parse_sequence_file(text: str | bytes) -> FractionSequence:
     position; a non-positive term is rejected by
     :class:`~figurate.logbehavior.PositiveSequence` with its position named.
     """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     terms: list[Fraction] = []
-    for position, token in enumerate(_as_text(text).split(), start=1):
+    for position, token in enumerate(text.split(), start=1):
         if not _TOKEN_RE.match(token):
             raise SequenceParseError(position, f"cannot parse {token!r}")
         try:

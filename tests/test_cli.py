@@ -3,6 +3,9 @@
 import csv
 import io
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,9 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 from figurate import seqio, verify
-from figurate.cli import _BLOCK_TERMS, cli
+from figurate.cli import cli
 from figurate.core import closed_form, generate_first_order, quotient_direct
-from figurate.seqio import emit_bfile, emit_csv, parse_bfile
+from figurate.seqio import _BLOCK_TERMS, emit_bfile, emit_csv, parse_bfile
 from faults import geometric, perturb, substitute, truncate
 
 
@@ -444,6 +447,16 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 3 6\n"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_a_closed_stdout_ends_the_writer_by_sigpipe(self):
+        # click would turn the EPIPE into exit code 1, the code of a failed claim
+        argv = [sys.executable, "-m", "figurate", "gen", "--m", "3", "--count", "3000000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b"1 3 6 10 1"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == -signal.SIGPIPE
+            assert proc.stderr.read() == b""
 
     def test_runtime_imports_only_click_and_the_standard_library(self):
         # click is the one declared runtime dependency: importing the package

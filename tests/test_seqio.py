@@ -14,6 +14,7 @@ from figurate.seqio import (
     BFileRecord,
     BFileStructureError,
     SequenceParseError,
+    _BLOCK_TERMS,
     _INTEGER_RE,
     emit_bfile,
     emit_csv,
@@ -184,6 +185,37 @@ class TestParseBFile:
         assert len(records) == 4000
         assert peak < 0.75 * len(text)
 
+    def test_bytes_are_decoded_in_one_piece(self):
+        # The decoded text (1x) and the records (0.6x) are the peak; decoding
+        # in pieces and joining them would hold the text twice.
+        data = "".join(f"{k} {7 * 10**999 + k}\n" for k in range(1, 4001)).encode()
+        tracemalloc.start()
+        try:
+            records = parse_bfile(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4000
+        assert peak < 1.75 * len(data)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_each_bytes_like_type_parses_as_its_text(self, kind):
+        text = "# A000326\n1 1\n2 5\r\n3 12\u2028"
+        assert parse_bfile(kind(text.encode())) == parse_bfile(text)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"1 1\n2 \xff\n", "not UTF-8 at byte 6: invalid start byte"),
+            (b"1 1\n2 \xc3x\n", "not UTF-8 at byte 6: invalid continuation byte"),
+            (b"1 1\n2 \xc3", "not UTF-8 at byte 6: unexpected end of data"),
+        ],
+    )
+    def test_bytes_not_utf8_raise_what_the_sequence_reader_raises(self, data, message):
+        for parse in (parse_bfile, parse_sequence_file):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                parse(data)
+
 
 class TestEmitBFile:
     def test_basic(self):
@@ -197,7 +229,7 @@ class TestEmitBFile:
             emit_bfile(1, [])
 
     def test_one_shot_iterator(self):
-        # validation and rendering share one pass, so an iterator is read once
+        # the values are read once, so an iterator serves
         assert emit_bfile(1, iter([1, 2, 3])) == "1 1\n2 2\n3 3\n"
         with pytest.raises(TypeError, match="b-file value 2 is a float"):
             emit_bfile(5, iter([1, 2.0]))
@@ -205,6 +237,13 @@ class TestEmitBFile:
     def test_rejects_empty_iterator(self):
         with pytest.raises(ValueError, match="cannot emit an empty b-file"):
             emit_bfile(1, iter([]))
+
+    @pytest.mark.parametrize("offset", [0, -3])
+    def test_lines_across_a_block_edge(self, offset):
+        # lines are rendered _BLOCK_TERMS at a time; the last one is in a block of its own
+        values = [k * k - 50 for k in range(_BLOCK_TERMS + 1)]
+        expected = "".join(f"{offset + k} {k * k - 50}\n" for k in range(_BLOCK_TERMS + 1))
+        assert emit_bfile(offset, values) == expected
 
     @pytest.mark.parametrize(
         "offset, values, message",
@@ -248,6 +287,13 @@ class TestEmitCsv:
     def test_fraction_rendering_is_exact(self):
         out = emit_csv({"x": [Fraction(4), Fraction(9, 4), Fraction(16, 9)]})
         assert out == "x\n4\n9/4\n16/9\n"
+
+    def test_rows_across_a_block_edge(self):
+        # the header and _BLOCK_TERMS - 1 rows fill the first block, so two rows are in the second
+        rows = range(1, _BLOCK_TERMS + 2)
+        columns = {"n": list(rows), "x": [Fraction(2 * k + 1, 2) for k in rows], "y": [-k for k in rows]}
+        expected = "n,x,y\n" + "".join(f"{k},{2 * k + 1}/2,-{k}\n" for k in rows)
+        assert emit_csv(columns) == expected
 
     def test_rejects_empty_mapping(self):
         with pytest.raises(ValueError):

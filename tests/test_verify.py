@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import math
 import os
+import re
 import sys
 import time
 import tracemalloc
@@ -97,6 +98,24 @@ class TestConfig:
     )
     def test_rejects_wrong_types_naming_the_field(self, name, value):
         with pytest.raises(TypeError, match=name):
+            VerifySweepConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, error, message",
+        [
+            ("m_from", True, TypeError, "m_from must be an int, got bool"),
+            ("m_from", 3.0, TypeError, "m_from must be an int, got float"),
+            ("m_from", 2, ValueError, "m_from must be >= 3, got 2"),
+            ("m_to", True, TypeError, "m_to must be an int, got bool"),
+            ("m_to", 50.0, TypeError, "m_to must be an int, got float"),
+            ("m_to", 2, ValueError, "m_to must be >= m_from, got 2 < 3"),
+            ("n_max", True, TypeError, "n_max must be an int, got bool"),
+            ("n_max", 2000.0, TypeError, "n_max must be an int, got float"),
+            ("n_max", 2, ValueError, "n_max must be >= 3, got 2"),
+        ],
+    )
+    def test_each_bad_number_alone_gives_its_message(self, name, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             VerifySweepConfig(**{name: value})
 
 
