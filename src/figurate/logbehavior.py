@@ -472,16 +472,17 @@ def check_quotient_bounds(
     """
     _check_polygon_order(m)
     _reject_bytes(quotients)
-    pairs = [_exact_pair(position, x) for position, x in enumerate(quotients, start=1)]
-    if not pairs:
-        raise ValueError("bounds check needs at least one quotient")
     first_low: int | None = None
     first_high: int | None = None
-    for position, (p, q) in enumerate(pairs, start=1):
+    position = 0
+    for position, x in enumerate(quotients, start=1):
+        p, q = _exact_pair(position, x)
         if p <= q and first_low is None:
             first_low = position
         if p > m * q and first_high is None:
             first_high = position
+    if not position:
+        raise ValueError("bounds check needs at least one quotient")
     return BoundsReport(first_low, first_high)
 
 

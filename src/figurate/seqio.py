@@ -13,7 +13,9 @@ line, _BLOCK_TERMS lines to a text piece, so that emitted files are bit-exact:
 A sequence file may be given as a str, as UTF-8 bytes or as an open text or
 binary file. It is read in chunks of a fixed size and parsed token by token,
 so the memory it takes grows with the integers kept, not with the text or its
-token count. For bytes that are not UTF-8, both readers raise one error naming the offset.
+token count. A token cut by chunk edges waits, in pieces, for the whitespace
+that ends it. For bytes that are not UTF-8, both readers raise one error
+naming the offset.
 """
 
 from __future__ import annotations
@@ -143,11 +145,16 @@ def emit_bfile(offset: int, values: Iterable[int]) -> str:
 
     Round-trips through :func:`parse_bfile`, so the offset and every value
     must be an int (not a bool); anything else raises TypeError, naming the
-    1-based position of a bad value. The values are read once, so an
-    iterator serves; none at all raises ValueError.
+    1-based position of a bad value, and so do bytes, a bytearray or a
+    memoryview as the values. The values are read once, so an iterator
+    serves; none at all raises ValueError.
     """
     if not _is_int(offset):
         raise TypeError(f"b-file offset must be an int, got {type(offset).__name__}")
+    if isinstance(values, (bytes, bytearray, memoryview)):
+        raise TypeError(
+            f"b-file values are a {type(values).__name__}, whose items are byte values, not terms"
+        )
     values = list(values)
     for position, value in enumerate(values, start=1):
         if not _is_int(value):
@@ -163,18 +170,23 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
     """Render named columns as CSV with exact values.
 
     Integers render in decimal, rationals as "p/q" in lowest terms; any other
-    value, a bool or a float included, raises TypeError. A column name must
+    value, a bool or a float included, raises TypeError, and so does a column
+    given as bytes, a bytearray or a memoryview. A column name must
     be a str without ",", "\\r" or "\\n", so that the header has one field
     per column. All columns must be the same length; an empty mapping is an
     error.
     """
     if not columns:
         raise ValueError("cannot emit CSV with no columns")
-    for name in columns:
+    for name, values in columns.items():
         if not isinstance(name, str):
             raise TypeError(f"column {name!r} is named by a {type(name).__name__}, not a str")
         if any(mark in name for mark in ",\r\n"):
             raise ValueError(f"column {name!r} has a comma or a line break in its name")
+        if isinstance(values, (bytes, bytearray, memoryview)):
+            raise TypeError(
+                f"column {name!r} is a {type(values).__name__}, whose items are byte values, not terms"
+            )
     lengths = {len(values) for values in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
@@ -229,23 +241,31 @@ def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequ
 
 
 def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list[int], list[int]]]:
-    """The terms of a sequence file as (numerators, denominators), one block per chunk read.
+    """The terms of a sequence file as blocks of (numerators, denominators).
 
-    A block holds the tokens that end in its chunk, so a token that a chunk
-    edge cuts is parsed with the chunk where it ends. The same two lists are
-    refilled for every block, and each chunk's tokens are dropped before the
-    next chunk is read, so a caller copies what it keeps before it asks for
-    the next block, and the reader holds one chunk's worth. A bad token
-    raises :class:`SequenceParseError` naming its 1-based position; the sign
-    of a term is not checked here.
+    A block per chunk in which a token ends: the text read since the last
+    whitespace is kept in pieces and joined once, by the next chunk that
+    holds whitespace, so a token cut by chunk edges is parsed in time linear
+    in its length, and a chunk inside one token yields no block. The same
+    two lists are refilled for every block, and each chunk's tokens are
+    dropped before the next chunk is read, so a caller copies what it keeps
+    before it asks for the next block, and the reader holds one chunk's
+    worth. A bad token raises :class:`SequenceParseError` naming its 1-based
+    position; the sign of a term is not checked here.
     """
     numerators: list[int] = []
     denominators: list[int] = []
     position = 0
-    cut: list[str] = []  # the parts read so far of a token that runs over a chunk edge
+    cut: list[str] = []  # the text read since the last whitespace, in pieces
     # a last blank chunk ends the token that ends the text
     for chunk in itertools.chain(_chunks(source), " "):
-        tokens = _ended_tokens(chunk, cut)
+        cut.append(chunk)
+        if not re.search(r"\s", chunk):  # \s is what str.split splits on
+            continue
+        tokens = "".join(cut).split()
+        cut.clear()
+        if not chunk[-1].isspace():
+            cut.append(tokens.pop())  # the chunk ends inside this token
         for position, token in enumerate(tokens, start=position + 1):
             if not _TOKEN_RE.match(token):
                 raise SequenceParseError(position, f"cannot parse {token!r}")
@@ -265,7 +285,7 @@ def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list
 
 
 def _chunks(source: str | bytes | BinaryIO | TextIO) -> Iterator[str]:
-    """The text of a sequence file in non-empty pieces.
+    """The text of a sequence file in pieces, some of which may be empty.
 
     A str is sliced _READ_SIZE characters at a time. Bytes, whole or read
     _READ_SIZE at a time from a binary stream, are decoded as UTF-8, and a
@@ -293,28 +313,4 @@ def _chunks(source: str | bytes | BinaryIO | TextIO) -> Iterator[str]:
             # error.start counts from the bytes of a cut character that the decoder holds
             raise _not_utf8(error, offset - len(decoder.getstate()[0])) from None
         offset += len(piece)
-        if text:
-            yield text
-
-
-def _ended_tokens(chunk: str, cut: list[str]) -> list[str]:
-    """The whitespace-separated tokens that end in a non-empty chunk of text.
-
-    `cut` holds the parts of a token that an earlier chunk edge cut, and is
-    left holding the parts of one that this chunk's edge cuts. A cut token
-    is joined once it ends, so a long token costs time linear in its length.
-    """
-    tokens = chunk.split()
-    if cut:
-        if chunk[0].isspace():
-            tokens.insert(0, "".join(cut))
-        elif len(tokens) == 1 and not chunk[-1].isspace():
-            cut.append(chunk)  # the whole chunk lies inside the token
-            return []
-        else:
-            cut.append(tokens[0])
-            tokens[0] = "".join(cut)
-        cut.clear()
-    if tokens and not chunk[-1].isspace():
-        cut.append(tokens.pop())
-    return tokens
+        yield text

@@ -85,7 +85,8 @@ class VerifySweepConfig:
             raise TypeError(f"m_to must be an int, got {type(self.m_to).__name__}")
         if self.m_to < self.m_from:
             raise ValueError(f"m_to must be >= m_from, got {self.m_to} < {self.m_from}")
-        if isinstance(self.checks, str) or not isinstance(self.checks, Iterable):
+        strings = (str, bytes, bytearray, memoryview)  # their items are characters or byte values
+        if isinstance(self.checks, strings) or not isinstance(self.checks, Iterable):
             raise TypeError(
                 "checks must be a sequence of check names,"
                 f" not the {type(self.checks).__name__} {self.checks!r}"

@@ -8,11 +8,13 @@ and a classification carries no margins.
 Every term is a Fraction, and every margin, quotient and comparison is
 Fraction arithmetic. tests/test_analyze_oracle.py requires these and the
 integer versions in figurate to return identical reports and to raise
-identical errors.
+identical errors. The token rule is spelled out here, not imported, so that
+a wrong rule in figurate.seqio fails that comparison.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -22,7 +24,10 @@ from figurate.logbehavior import (
     Monotonicity,
     MonotonicityReport,
 )
-from figurate.seqio import _TOKEN_RE, SequenceParseError
+from figurate.seqio import SequenceParseError
+
+# an optional sign, ASCII digits, and optionally "/" and ASCII digits
+_TOKEN_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 class FractionSequence(Sequence):

@@ -10,6 +10,7 @@ print what the oracle's reports and errors render to, at the same read sizes.
 """
 
 import io
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -161,10 +162,13 @@ def sequence_texts(draw):
         render(term, draw(st.sampled_from([1, 1, 2, 7])), draw(st.booleans()))
         for term in terms
     ]
-    extras = st.sampled_from(["-0/5", "+0", "-0", "3/0", "0/0", "1.5", "x", "2/-3", "4//2"])
+    extras = st.sampled_from(
+        ["-0/5", "+0", "-0", "3/0", "0/0", "1.5", "x", "2/-3", "4//2", "1_0", "3/1_0"]
+    )
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))), draw(extras))
-    separators = st.sampled_from([" ", "\n", "\t", "  \n "])
+    # NEL and the ideographic space are whitespace to str.split, and two and three UTF-8 bytes long
+    separators = st.sampled_from([" ", "\n", "\t", "  \n ", "\x85", "\u3000"])
     return "".join(token + draw(separators) for token in tokens)
 
 
@@ -223,6 +227,15 @@ class TestParsing:
             for source in sources("1 2 " + "9" * 5000 + " 4"):
                 with pytest.raises(SequenceParseError, match="^token 3: over 4300 digits"):
                     parse_sequence_file(source)
+
+    def test_a_long_token_read_a_character_at_a_time_takes_linear_time(self):
+        # the token is joined once, when whitespace ends it: about 1 s on a 2-vCPU
+        # VM, where a join at every chunk, quadratic in the length, took 21 s
+        start = time.perf_counter()
+        with mock.patch.object(seqio, "_READ_SIZE", 1):
+            with pytest.raises(SequenceParseError, match="^token 2: over 4300 digits"):
+                parse_sequence_file("1 " + "9" * 10**6 + " 2")
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("read_size", [1, 2, 7])
     def test_whitespace_stream_has_no_terms(self, read_size):

@@ -255,13 +255,15 @@ class TestAnalyze:
         result = runner.invoke(cli, ["analyze"], input=text)
         assert (result.exit_code, result.stdout, result.stderr) == (0, INDETERMINATE, "")
 
-    def test_memory_does_not_grow_with_the_input(self, runner, tmp_path):
+    @pytest.mark.parametrize("separator", [" ", "\n"], ids=["space", "newline"])
+    def test_memory_does_not_grow_with_the_input(self, runner, tmp_path, separator):
         # One chunk's terms are held at a time, so ten times the terms (each a
         # little longer) must not raise the peak; holding them all raised it by 7 MB.
         paths = {}
         for count in (10**4, 10**5):
             paths[count] = tmp_path / f"{count}.txt"
-            paths[count].write_text(runner.invoke(cli, ["gen", "--m", "5", "--count", str(count)]).output)
+            terms = runner.invoke(cli, ["gen", "--m", "5", "--count", str(count)]).output
+            paths[count].write_text(terms.replace(" ", separator))
         assert paths[10**4].stat().st_size > seqio._READ_SIZE
         analyze_peak(runner, paths[10**4])  # warm-up: first-use allocations are not the input's
         small, large = (analyze_peak(runner, paths[count]) for count in (10**4, 10**5))
@@ -362,6 +364,11 @@ class TestVerify:
         result = runner.invoke(cli, self.NARROW + ["--checks", "bogus"])
         assert result.exit_code == 2
         assert "bogus" in result.stderr
+
+    def test_no_check_named_is_usage_error(self, runner):
+        result = runner.invoke(cli, self.NARROW + ["--checks", ",,"])
+        assert result.exit_code == 2
+        assert "at least one check must be selected" in result.stderr
 
     def test_reversed_order_range_is_usage_error(self, runner):
         result = runner.invoke(cli, ["verify", "--m-from", "6", "--m-to", "5"])

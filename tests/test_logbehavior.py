@@ -137,6 +137,11 @@ class TestPositiveSequence:
         with pytest.raises(TypeError):
             PositiveSequence(["3"])
 
+    def test_equals_only_a_positive_sequence(self):
+        assert PositiveSequence([1]) == PositiveSequence([Fraction(2, 2)])
+        assert PositiveSequence([1]) != [Fraction(1)]
+        assert PositiveSequence([1]).__eq__([Fraction(1)]) is NotImplemented
+
     def test_rejects_bools_naming_the_position(self):
         # bool is an int subclass, but True is no term: it must not read as 1
         message = "term 1 is a bool; only exact ints or Fractions are accepted"

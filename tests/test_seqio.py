@@ -1,6 +1,7 @@
 """Tests for b-file, CSV, and sequence-file reading and writing."""
 
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -238,6 +239,13 @@ class TestEmitBFile:
         with pytest.raises(ValueError, match="cannot emit an empty b-file"):
             emit_bfile(1, iter([]))
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_bytes_are_not_values(self, kind):
+        # iterated, b"12" would be the values 49 and 50
+        message = f"b-file values are a {kind.__name__}, whose items are byte values, not terms"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            emit_bfile(1, kind(b"12"))
+
     @pytest.mark.parametrize("offset", [0, -3])
     def test_lines_across_a_block_edge(self, offset):
         # lines are rendered _BLOCK_TERMS at a time; the last one is in a block of its own
@@ -311,6 +319,13 @@ class TestEmitCsv:
         with pytest.raises(TypeError, match="column 'b' holds bool"):
             emit_csv({"a": [1, 2], "b": [3, True]})
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_a_bytes_column_is_not_values(self, kind):
+        # iterated, b"12" would be the values 49 and 50; the lengths agree, so the type decides
+        message = f"column 'b' is a {kind.__name__}, whose items are byte values, not terms"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            emit_csv({"a": [1, 2], "b": kind(b"12")})
+
     @pytest.mark.parametrize("name", ["a,b", "a\rb", "a\nb", ",", "a\r\n"])
     def test_rejects_a_name_that_would_split_the_header(self, name):
         # {"a,b": [1]} would give two header fields over one-field rows
@@ -353,12 +368,19 @@ class TestParseSequenceFile:
         assert excinfo.value.position == 2
 
     @pytest.mark.parametrize(
-        "token", ["\u0663", "3/\u0664", "+\uff13"], ids=["arabic", "arabic-denominator", "fullwidth"]
+        "token",
+        ["\u0663", "3/\u0664", "+\uff13", "1_0"],
+        ids=["arabic", "arabic-denominator", "fullwidth", "underscore"],
     )
     def test_only_ascii_digits_make_a_number(self, token):
         with pytest.raises(SequenceParseError, match="^token 3: cannot parse") as excinfo:
             parse_sequence_file(f"1 2 {token} 4")
         assert excinfo.value.position == 3
+
+    def test_the_whitespace_of_the_cut_rule_is_what_split_splits_on(self):
+        # a chunk with no match of \s is taken to lie inside one token
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(SequenceParseError) as excinfo:

@@ -79,6 +79,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus"):
             VerifySweepConfig(checks=("bogus",))
 
+    def test_rejects_no_checks(self):
+        with pytest.raises(ValueError, match="^at least one check must be selected$"):
+            VerifySweepConfig(checks=())
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_rejects_bytes_checks(self, kind):
+        # iterated, b"bounds" would be the names 98, 111, ...
+        checks = kind(b"bounds")
+        message = f"checks must be a sequence of check names, not the {kind.__name__} {checks!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            VerifySweepConfig(checks=checks)
+
     def test_rejects_tiny_index_cap(self):
         with pytest.raises(ValueError):
             VerifySweepConfig(n_max=2)
