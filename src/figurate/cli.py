@@ -1,4 +1,4 @@
-"""Command-line surface: generate, analyze, verify; seqio lays out each b-file and CSV line.
+"""Command-line surface: generate, analyze, verify; seqio lays out every term list printed.
 
 Exit codes: 0 on success, 1 on a mathematical violation (a "neither"
 classification or a failed verification check), 2 on usage or input errors.
@@ -22,6 +22,14 @@ from figurate.verify import CHECK_NAMES, SweepReport, VerifySweepConfig, _run_fo
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+
+def _format(*choices: str, help: str = "Output format."):
+    """The --format option: one of `choices`, "plain" by default."""
+    return click.option(
+        "--format", "fmt", type=click.Choice(choices), default="plain", show_default=True, help=help
+    )
+
+
 @click.group()
 def cli():
     """Exact m-gonal figurate numbers and log-concavity verification."""
@@ -30,14 +38,7 @@ def cli():
 @cli.command()
 @click.option("--m", "m", required=True, type=click.IntRange(min=3), help="Polygon order (>= 3).")
 @click.option("--count", required=True, type=click.IntRange(min=1), help="How many terms.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["plain", "bfile", "csv"]),
-    default="plain",
-    show_default=True,
-    help="Output format.",
-)
+@_format("plain", "bfile", "csv")
 def gen(m: int, count: int, fmt: str):
     """Print the first COUNT m-gonal figurate numbers."""
     terms = itertools.islice(core._first_order_terms(m), count)
@@ -47,14 +48,7 @@ def gen(m: int, count: int, fmt: str):
 @cli.command()
 @click.option("--m", "m", required=True, type=click.IntRange(min=3), help="Polygon order (>= 3).")
 @click.option("--count", required=True, type=click.IntRange(min=1), help="How many quotients.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["plain", "csv"]),
-    default="plain",
-    show_default=True,
-    help="Output format.",
-)
+@_format("plain", "csv")
 def quotients(m: int, count: int, fmt: str):
     """Print the exact quotients x(n) = S(n+1)/S(n) for n = 1..COUNT."""
     quotients = itertools.islice(core._direct_quotients(m), count)
@@ -62,14 +56,9 @@ def quotients(m: int, count: int, fmt: str):
 
 
 def _echo_sequence(texts: Iterator[str], fmt: str, column: str) -> None:
-    """Write rendered terms n = 1, 2, ...: a b-file or CSV as seqio lays it out, or one plain line."""
-    if fmt != "plain":
-        for piece in seqio._term_lines(fmt, column, texts):
-            click.echo(piece, nl=False)
-        return
-    for index, block in enumerate(seqio._blocks(texts)):
-        click.echo((" " if index else "") + " ".join(block), nl=False)
-    click.echo()
+    """Write rendered terms n = 1, 2, ... as seqio lays them out in `fmt`."""
+    for piece in seqio._term_lines(fmt, column, texts):
+        click.echo(piece, nl=False)
 
 
 @cli.command()
@@ -115,14 +104,7 @@ def analyze(source):
     metavar="LIST",
     help=f"Comma-separated subset of: {', '.join(CHECK_NAMES)}. Default: all.",
 )
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["plain", "csv"]),
-    default="plain",
-    show_default=True,
-    help="Summary format.",
-)
+@_format("plain", "csv", help="Summary format.")
 def verify(m_from, m_to, n_max, checks, fmt):
     """Run the exact verification sweep and report a per-check summary.
 

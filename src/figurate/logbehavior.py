@@ -100,9 +100,14 @@ class PositiveSequence(Sequence):
         self._store(numerators, denominators)
 
     @classmethod
-    def _from_pairs(cls, numerators: Sequence[int], denominators: Sequence[int]) -> PositiveSequence:
-        """A sequence from (numerator, denominator) pairs given as two int lists, checked
-        already: at least one pair, every numerator and denominator > 0."""
+    def _from_blocks(cls, blocks: Iterable[tuple[list[int], list[int]]]) -> PositiveSequence:
+        """A sequence from blocks of (numerator, denominator) pairs as two int lists, with
+        denominators > 0; a term <= 0 and no terms raise as :func:`_positive_blocks` raises them."""
+        numerators: list[int] = []
+        denominators: list[int] = []
+        for block_nums, block_dens in _positive_blocks(blocks):
+            numerators += block_nums
+            denominators += block_dens
         sequence = cls.__new__(cls)
         sequence._store(numerators, denominators)
         return sequence

@@ -1,7 +1,8 @@
 """Reading and writing sequence data: OEIS b-files, CSV, and term lists.
 
-Formats are deliberately rigid, and one writer renders every b-file and CSV
-line, _BLOCK_TERMS lines to a text piece, so that emitted files are bit-exact:
+Formats are deliberately rigid, and one writer renders every b-file, CSV and
+plain term list, _BLOCK_TERMS lines or terms to a text piece, so that emitted
+files are bit-exact:
 
 * b-file: one "<index> <value>" line per term, '#' comment lines, indices
   strictly increasing by 1;
@@ -25,13 +26,13 @@ import io
 import itertools
 import re
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, TextIO
 
 from figurate.core import _is_int
-from figurate.logbehavior import PositiveSequence, _positive_blocks
+from figurate.logbehavior import PositiveSequence
 
 __all__ = [
     "BFileRecord",
@@ -166,15 +167,15 @@ def emit_bfile(offset: int, values: Iterable[int]) -> str:
     return "".join(_lines(zip(map(str, itertools.count(offset)), map(str, values)), " "))
 
 
-def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
+def emit_csv(columns: Mapping[str, Iterable[int | Fraction]]) -> str:
     """Render named columns as CSV with exact values.
 
     Integers render in decimal, rationals as "p/q" in lowest terms; any other
     value, a bool or a float included, raises TypeError, and so does a column
     given as bytes, a bytearray or a memoryview. A column name must
     be a str without ",", "\\r" or "\\n", so that the header has one field
-    per column. All columns must be the same length; an empty mapping is an
-    error.
+    per column. Each column is read once, so an iterator serves. All columns
+    must be the same length; an empty mapping is an error.
     """
     if not columns:
         raise ValueError("cannot emit CSV with no columns")
@@ -187,6 +188,7 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
             raise TypeError(
                 f"column {name!r} is a {type(values).__name__}, whose items are byte values, not terms"
             )
+    columns = {name: list(values) for name, values in columns.items()}
     lengths = {len(values) for values in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
@@ -202,7 +204,11 @@ def emit_csv(columns: Mapping[str, Sequence[int | Fraction]]) -> str:
 
 
 def _term_lines(fmt: str, column: str, texts: Iterable[str]) -> Iterator[str]:
-    """Rendered terms n = 1, 2, ... as "bfile" text, or as "csv" with the columns "n" and `column`."""
+    """Rendered terms n = 1, 2, ... as text pieces: "plain" is one line of terms separated by
+    spaces, "bfile" a b-file, and "csv" a CSV with the columns "n" and `column`."""
+    if fmt == "plain":
+        pieces = map(" ".join, _blocks(iter(texts)))
+        return itertools.chain(itertools.islice(pieces, 1), (" " + piece for piece in pieces), ["\n"])
     rows = zip(map(str, itertools.count(1)), texts)
     return _lines(rows, " ") if fmt == "bfile" else _lines(itertools.chain([("n", column)], rows), ",")
 
@@ -232,12 +238,7 @@ def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequ
     :class:`~figurate.logbehavior.PositiveSequence` rejects it, with its
     position named.
     """
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for nums, dens in _positive_blocks(_pair_blocks(source)):
-        numerators += nums
-        denominators += dens
-    return PositiveSequence._from_pairs(numerators, denominators)
+    return PositiveSequence._from_blocks(_pair_blocks(source))
 
 
 def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list[int], list[int]]]:

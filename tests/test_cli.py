@@ -20,6 +20,48 @@ from faults import geometric, perturb, substitute, truncate
 
 
 INDETERMINATE = "classification: indeterminate\nquotient direction: indeterminate\n"
+# `figurate COMMAND --help` at a terminal width of 80
+HELP = {
+    "gen": """\
+Usage: figurate gen [OPTIONS]
+
+  Print the first COUNT m-gonal figurate numbers.
+
+Options:
+  --m INTEGER RANGE           Polygon order (>= 3).  [x>=3; required]
+  --count INTEGER RANGE       How many terms.  [x>=1; required]
+  --format [plain|bfile|csv]  Output format.  [default: plain]
+  --help                      Show this message and exit.
+""",
+    "quotients": """\
+Usage: figurate quotients [OPTIONS]
+
+  Print the exact quotients x(n) = S(n+1)/S(n) for n = 1..COUNT.
+
+Options:
+  --m INTEGER RANGE      Polygon order (>= 3).  [x>=3; required]
+  --count INTEGER RANGE  How many quotients.  [x>=1; required]
+  --format [plain|csv]   Output format.  [default: plain]
+  --help                 Show this message and exit.
+""",
+    "verify": """\
+Usage: figurate verify [OPTIONS]
+
+  Run the exact verification sweep and report a per-check summary.
+
+  Exits 0 when every selected check passes, 1 with the first counterexample
+  otherwise.
+
+Options:
+  --m-from INTEGER RANGE  Lowest polygon order.  [default: 3; x>=3]
+  --m-to INTEGER RANGE    Highest polygon order.  [default: 50; x>=3]
+  --n-max INTEGER RANGE   Highest term index.  [default: 2000; x>=3]
+  --checks LIST           Comma-separated subset of: cross-formula, bounds,
+                          monotonicity, margins, doslic. Default: all.
+  --format [plain|csv]    Summary format.  [default: plain]
+  --help                  Show this message and exit.
+""",
+}
 
 
 @pytest.fixture
@@ -509,3 +551,10 @@ class TestEntryPoints:
         assert result.exit_code == 0
         for name in ("gen", "quotients", "analyze", "verify"):
             assert name in result.output
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text(self, runner, command):
+        # click wraps help to the terminal's width, so the width is pinned
+        result = runner.invoke(cli, [command, "--help"], prog_name="figurate", terminal_width=80)
+        assert result.exit_code == 0
+        assert result.output == HELP[command]

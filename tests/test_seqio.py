@@ -17,6 +17,7 @@ from figurate.seqio import (
     SequenceParseError,
     _BLOCK_TERMS,
     _INTEGER_RE,
+    _term_lines,
     emit_bfile,
     emit_csv,
     parse_bfile,
@@ -303,6 +304,15 @@ class TestEmitCsv:
         expected = "n,x,y\n" + "".join(f"{k},{2 * k + 1}/2,-{k}\n" for k in rows)
         assert emit_csv(columns) == expected
 
+    def test_one_shot_iterator_columns(self):
+        # each column is read once, so an iterator or a generator serves as a list does
+        expected = emit_csv({"n": [1, 2], "x": [Fraction(3, 2), 4]})
+        assert emit_csv({"n": iter([1, 2]), "x": (v for v in [Fraction(3, 2), 4])}) == expected
+        with pytest.raises(ValueError, match=re.escape("column lengths differ: [1, 2]")):
+            emit_csv({"a": iter([1]), "b": [1, 2]})
+        with pytest.raises(TypeError, match="column 'a' holds float"):
+            emit_csv({"a": (v for v in [1, 2.0])})
+
     def test_rejects_empty_mapping(self):
         with pytest.raises(ValueError):
             emit_csv({})
@@ -337,6 +347,16 @@ class TestEmitCsv:
         message = f"column {name!r} is named by a {type(name).__name__}, not a str"
         with pytest.raises(TypeError, match=re.escape(message)):
             emit_csv({"x": [1], name: [2]})
+
+
+class TestTermLines:
+    @pytest.mark.parametrize("count", [0, 1, _BLOCK_TERMS, _BLOCK_TERMS + 1, 2 * _BLOCK_TERMS + 1])
+    def test_plain_is_one_line_in_blocks(self, count):
+        # _BLOCK_TERMS terms to a piece, a space before each piece but the first, then "\n"
+        texts = [str(k * k) for k in range(count)]
+        pieces = list(_term_lines("plain", "S", texts))
+        assert "".join(pieces) == " ".join(texts) + "\n"
+        assert len(pieces) == -(-count // _BLOCK_TERMS) + 1
 
 
 class TestParseSequenceFile:
