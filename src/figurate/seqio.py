@@ -16,7 +16,7 @@ binary file. It is read in chunks of a fixed size and parsed token by token,
 so the memory it takes grows with the integers kept, not with the text or its
 token count. A token cut by chunk edges waits, in pieces, for the whitespace
 that ends it. For bytes that are not UTF-8, both readers raise one error
-naming the offset.
+naming the offset, before any other error.
 """
 
 from __future__ import annotations
@@ -230,13 +230,14 @@ def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequ
     `source` is the text, as a str or UTF-8 bytes (a bytearray and a
     memoryview too), or a text or binary file object open for reading, which
     is read to its end in chunks; a binary one is read as UTF-8. Each token
-    becomes an integer numerator and denominator, not reduced. An unparseable
-    token, a zero denominator, or a number longer than Python's int/str digit
-    limit (4300 digits by default) raises :class:`SequenceParseError` with its
-    1-based position, and bytes that are not UTF-8 raise ValueError with their
-    0-based byte offset. Only then is a non-positive term rejected, as
-    :class:`~figurate.logbehavior.PositiveSequence` rejects it, with its
-    position named.
+    becomes an integer numerator and denominator, not reduced. Errors come in
+    one order, wherever the chunk edges fall: bytes that are not UTF-8,
+    anywhere in the input, raise ValueError with their 0-based byte offset;
+    then an unparseable token, a zero denominator, or a number longer than
+    Python's int/str digit limit (4300 digits by default) raises
+    :class:`SequenceParseError` with its 1-based position; only then is a
+    non-positive term rejected, as :class:`~figurate.logbehavior.PositiveSequence`
+    rejects it, with its position named.
     """
     return PositiveSequence._from_blocks(_pair_blocks(source))
 
@@ -252,14 +253,16 @@ def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list
     dropped before the next chunk is read, so a caller copies what it keeps
     before it asks for the next block, and the reader holds one chunk's
     worth. A bad token raises :class:`SequenceParseError` naming its 1-based
-    position; the sign of a term is not checked here.
+    position once the rest of the text is read and dropped, so that bytes
+    that are not UTF-8 raise first; the sign of a term is not checked here.
     """
     numerators: list[int] = []
     denominators: list[int] = []
     position = 0
     cut: list[str] = []  # the text read since the last whitespace, in pieces
     # a last blank chunk ends the token that ends the text
-    for chunk in itertools.chain(_chunks(source), " "):
+    chunks = itertools.chain(_chunks(source), " ")
+    for chunk in chunks:
         cut.append(chunk)
         if not re.search(r"\s", chunk):  # \s is what str.split splits on
             continue
@@ -267,18 +270,23 @@ def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list
         cut.clear()
         if not chunk[-1].isspace():
             cut.append(tokens.pop())  # the chunk ends inside this token
-        for position, token in enumerate(tokens, start=position + 1):
-            if not _TOKEN_RE.match(token):
-                raise SequenceParseError(position, f"cannot parse {token!r}")
-            numerator, slash, denominator = token.partition("/")
-            try:
-                numerators.append(int(numerator))
-                denominators.append(int(denominator) if slash else 1)
-            except ValueError:
-                # The regex admits only digits, so int() fails only on the digit limit.
-                raise SequenceParseError(position, _over_limit()) from None
-            if not denominators[-1]:
-                raise SequenceParseError(position, f"zero denominator in {token!r}")
+        try:
+            for position, token in enumerate(tokens, start=position + 1):
+                if not _TOKEN_RE.match(token):
+                    raise SequenceParseError(position, f"cannot parse {token!r}")
+                numerator, slash, denominator = token.partition("/")
+                try:
+                    numerators.append(int(numerator))
+                    denominators.append(int(denominator) if slash else 1)
+                except ValueError:
+                    # The regex admits only digits, so int() fails only on the digit limit.
+                    raise SequenceParseError(position, _over_limit()) from None
+                if not denominators[-1]:
+                    raise SequenceParseError(position, f"zero denominator in {token!r}")
+        except SequenceParseError:
+            for _ in chunks:  # bytes that are not UTF-8, later in the text, raise first
+                pass
+            raise
         del tokens
         yield numerators, denominators
         numerators.clear()

@@ -17,8 +17,8 @@ or a zero margin is a counterexample like any other.
 
 Sweeps are pure and deterministic; checks run in the canonical order above,
 each over ascending m, and a check that has failed is not evaluated for
-later m. Each check is one row of `_CHECKS`: its name, its `_check_*` kernel
-and its lane. A kernel takes (m, n_max) and returns (n, witness) for its first
+later m. Each check is one row of `_CHECKS`: its name and its `_check_*`
+kernel. A kernel takes (m, n_max) and returns (n, witness) for its first
 counterexample at m, or None; only the sweep names the check. It makes one
 streaming pass over n = 1..n_max through `core._window`, in O(1) memory per
 route; a stream that ends before n_max is a counterexample, "stream ended
@@ -33,8 +33,9 @@ replacing a generator there puts a fault into every check that reads it, and a
 kernel its check.
 
 `run_verify_sweep` runs in the calling process. Where `os.fork` exists, the
-`figurate verify` command runs the checks in two processes instead, with the
-same output (`_run_forked`); any failure there means the serial sweep.
+`figurate verify` command splits the m range in two halves, each run in its
+own process, with the same output (`_run_forked`); any failure there means
+the serial sweep.
 """
 
 from __future__ import annotations
@@ -57,16 +58,15 @@ __all__ = [
     "run_verify_sweep",
 ]
 
-# One row per check, in run order: (name, kernel in this module, runs in
-# `_run_forked`'s child). The two lanes take about the same time on the default window.
+# One row per check, in run order: (name, kernel in this module)
 _CHECKS = (
-    ("cross-formula", "_check_cross_formula", False),
-    ("bounds", "_check_bounds", True),
-    ("monotonicity", "_check_monotonicity", True),
-    ("margins", "_check_margins", True),
-    ("doslic", "_check_doslic", False),
+    ("cross-formula", "_check_cross_formula"),
+    ("bounds", "_check_bounds"),
+    ("monotonicity", "_check_monotonicity"),
+    ("margins", "_check_margins"),
+    ("doslic", "_check_doslic"),
 )
-CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
     if not isinstance(config, VerifySweepConfig):
         raise TypeError(f"config must be a VerifySweepConfig or None, got {type(config).__name__}")
     summaries = []
-    for check, attribute, _ in _CHECKS:
+    for check, attribute in _CHECKS:
         if check not in config.checks:
             continue
         kernel = globals()[attribute]
@@ -310,20 +310,18 @@ def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
 
 
 def _run_forked(config: VerifySweepConfig) -> SweepReport:
-    """`run_verify_sweep(config)`, with the child lane of `_CHECKS` run in a forked child.
+    """`run_verify_sweep(config)`, with the upper half of the m range run in a forked child.
 
-    Checks are independent, so the report is the serial one. The child sends
-    its summaries back through a pipe as marshalled tuples. Any failure, of the
-    pipe, the fork, the parent's own checks or a child that ends without a
-    complete result, kills the child and returns the serial sweep, so every
-    exception is the one a serial run raises. The child is always reaped.
+    Each m is checked apart from the others, so the report is the serial one: a
+    check's first counterexample in the lower half, else its first in the upper.
+    The child sends its summaries back through a pipe as marshalled tuples. Any
+    failure, of the pipe, the fork, the parent's half or a child that ends
+    without a complete result, kills the child and returns the serial sweep, so
+    every exception is the one a serial run raises. The child is always reaped.
     """
-    lanes = tuple(
-        tuple(check for check, _, child in _CHECKS if child is lane and check in config.checks)
-        for lane in (False, True)
-    )
-    if not all(lanes) or not hasattr(os, "fork"):
+    if config.m_from == config.m_to or not hasattr(os, "fork"):
         return run_verify_sweep(config)
+    middle = (config.m_from + config.m_to + 1) // 2
     pid = child = None
     try:
         read_end, write_end = os.pipe()
@@ -332,7 +330,7 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
             if pid == 0:
                 status = 1
                 try:
-                    summaries = run_verify_sweep(replace(config, checks=lanes[1])).summaries
+                    summaries = run_verify_sweep(replace(config, m_from=middle)).summaries
                     marshal.dump(tuple(map(astuple, summaries)), sink)
                     sink.flush()
                     status = 0
@@ -340,7 +338,7 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
                     # never return into the caller's stack, flush its buffers or run its atexit hooks
                     os._exit(status)
             sink.close()
-            own = run_verify_sweep(replace(config, checks=lanes[0])).summaries
+            own = run_verify_sweep(replace(config, m_to=middle - 1)).summaries
             child = tuple(
                 CheckSummary(check, None if found is None else Counterexample(*found))
                 for check, found in marshal.load(source)
@@ -357,5 +355,5 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
     if child is None:
         # a serial run raises the exception of the first check that raises one
         return run_verify_sweep(config)
-    by_check = {summary.check: summary for summary in own + child}
-    return SweepReport(config, tuple(by_check[check] for check in config.checks))
+    # both halves list their summaries in the order of config.checks
+    return SweepReport(config, tuple(high if low.passed else low for low, high in zip(own, child)))

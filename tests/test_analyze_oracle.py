@@ -10,6 +10,7 @@ print what the oracle's reports and errors render to, at the same read sizes.
 """
 
 import io
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -190,6 +191,18 @@ def parses_as_the_oracle(text, read_size=seqio._READ_SIZE):
         same_analysis(new, old)
 
 
+# (bytes with a bad token before any bytes that are not UTF-8, the error):
+# bytes that are not UTF-8 come first, then the first bad token
+BAD_TOKEN_THEN_BAD_BYTES = [
+    (b"x 1 2 \xff 3\n", "not UTF-8 at byte 6: invalid start byte"),
+    # past the first chunk at the default read size, and inside it
+    (b"x " + b"1 " * 40000 + b"\xff 3\n", "not UTF-8 at byte 80002: invalid start byte"),
+    (b"x " + b"1 " * 20000 + b"\xff 3\n", "not UTF-8 at byte 40002: invalid start byte"),
+    (b"x 1 2 \xc3\xa9 3\n", "token 1: cannot parse 'x'"),
+]
+BAD_TOKEN_IDS = ["short", "past-the-first-chunk", "in-the-first-chunk", "utf8"]
+
+
 class TestParsing:
     @settings(max_examples=300, deadline=None)
     @given(text=sequence_texts())
@@ -262,6 +275,16 @@ class TestParsing:
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     parse_sequence_file(source)
 
+    @pytest.mark.parametrize("read_size", [seqio._READ_SIZE, 1, 2, 7])
+    @pytest.mark.parametrize("data, message", BAD_TOKEN_THEN_BAD_BYTES, ids=BAD_TOKEN_IDS)
+    def test_bytes_not_utf8_outrank_an_earlier_bad_token(self, read_size, data, message):
+        # the same error wherever the chunk edges fall: the first chunk's
+        # bad token is held back until the rest of the bytes are decoded
+        with mock.patch.object(seqio, "_READ_SIZE", read_size):
+            for source in (data, io.BytesIO(data)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    parse_sequence_file(source)
+
     def test_fixed_cases_match_the_oracle(self):
         texts = [
             "4/6 +3 1/1",
@@ -313,6 +336,13 @@ class TestCommandLine:
         with mock.patch.object(seqio, "_READ_SIZE", read_size):
             result = CliRunner().invoke(cli, ["analyze"], input=text)
         assert (result.exit_code, result.stdout, result.stderr) == rendered(text)
+
+    @pytest.mark.parametrize("read_size", [seqio._READ_SIZE, 1, 2, 7])
+    @pytest.mark.parametrize("data, message", BAD_TOKEN_THEN_BAD_BYTES, ids=BAD_TOKEN_IDS)
+    def test_bytes_not_utf8_outrank_an_earlier_bad_token(self, read_size, data, message):
+        with mock.patch.object(seqio, "_READ_SIZE", read_size):
+            result = CliRunner().invoke(cli, ["analyze"], input=data)
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestBlocks:

@@ -471,7 +471,8 @@ class TestVerify:
         monkeypatch.setattr(verify, "_check_margins", stand_in)
         result = runner.invoke(cli, self.NARROW)
         assert result.exit_code == 1
-        assert result.output.endswith("counterexample: check=margins m=3 n=1 in a child\n")
+        # NARROW is m = 3..6, and the child runs its upper half, m = 5..6
+        assert result.output.endswith("counterexample: check=margins m=5 n=1 in a child\n")
 
     def test_non_integer_second_order_step_is_reported(self, runner, monkeypatch):
         perturb(monkeypatch, "_coefficients", (5, 20), lambda c: (-c[0], c[1], c[2]))

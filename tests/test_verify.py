@@ -634,8 +634,8 @@ class TestOneDoslicScan:
         report = check_doslic_criterion(m, 60)
         failures = [(f.name, getattr(report, f.name)) for f in dataclasses.fields(report)]
         assert [failure for failure in failures if failure[1] is not None][0] == (first, n)
-        # all five checks, so that _run_forked forks
-        config = VerifySweepConfig(m_from=m, m_to=m, n_max=60)
+        # a window of two m, so that _run_forked forks
+        config = VerifySweepConfig(m_from=m, m_to=m + 1, n_max=60)
         for sweep in (run_verify_sweep, verify._run_forked):
             summary = sweep(config).summary_for("doslic")
             assert summary.counterexample == Counterexample("doslic", m, n, witness)
@@ -646,9 +646,8 @@ def open_fds():
     return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-# each check's kernel, by its name in `verify`, and the checks that `_run_forked`'s child runs
-KERNELS = {check: kernel for check, kernel, _ in verify._CHECKS}
-CHILD_LANE = tuple(check for check, _, child in verify._CHECKS if child)
+# each check's kernel, by its name in `verify`
+KERNELS = dict(verify._CHECKS)
 
 
 class TestForkedLanes:
@@ -659,6 +658,7 @@ class TestForkedLanes:
     """
 
     CONFIG = dict(m_to=8, n_max=60)
+    MIDDLE = 6  # the first m of the upper half, which the child runs
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -702,26 +702,38 @@ class TestForkedLanes:
         for check in CHECK_NAMES:
             monkeypatch.setattr(verify, KERNELS[check], elsewhere(check))
 
-    def test_the_child_lane_runs_in_another_process(self, monkeypatch):
+    def test_the_upper_half_runs_in_another_process(self, monkeypatch):
         self.fail_outside(monkeypatch)
         report = verify._run_forked(VerifySweepConfig(**self.CONFIG))
-        assert [summary.passed for summary in report.summaries] == [
-            check not in CHILD_LANE for check in CHECK_NAMES
-        ]
-        for check in CHILD_LANE:
-            assert report.summary_for(check) == verify.CheckSummary(
-                check, Counterexample(check, 3, 1, "ran in a child")
-            )
+        assert report.summaries == tuple(
+            verify.CheckSummary(check, Counterexample(check, self.MIDDLE, 1, "ran in a child"))
+            for check in CHECK_NAMES
+        )
 
-    @pytest.mark.parametrize("checks", [CHILD_LANE, ("cross-formula", "doslic")])
-    def test_one_process_when_a_lane_is_empty(self, monkeypatch, checks):
+    def test_one_check_forks(self, monkeypatch):
         self.fail_outside(monkeypatch)
-        assert verify._run_forked(VerifySweepConfig(**self.CONFIG, checks=checks)).passed
+        report = verify._run_forked(VerifySweepConfig(**self.CONFIG, checks=("doslic",)))
+        expected = Counterexample("doslic", self.MIDDLE, 1, "ran in a child")
+        assert report.first_counterexample == expected
+
+    def test_one_process_for_a_window_of_one_m(self, monkeypatch):
+        self.fail_outside(monkeypatch)
+        assert verify._run_forked(VerifySweepConfig(m_from=5, m_to=5, n_max=60)).passed
 
     def test_one_process_without_fork(self, monkeypatch):
         self.fail_outside(monkeypatch)
         monkeypatch.delattr(os, "fork")
         assert verify._run_forked(VerifySweepConfig(**self.CONFIG)).passed
+
+    # S(5) = 0 breaks all five checks at its m; the lower m is the first counterexample
+    @pytest.mark.parametrize(
+        "faulted", [(MIDDLE - 1,), (MIDDLE,), (4, 7)], ids=["lower-edge", "upper-edge", "both"]
+    )
+    def test_a_fault_at_the_split(self, monkeypatch, faulted):
+        for m in faulted:
+            perturb(monkeypatch, "_closed_form_terms", (m, 5), lambda s: 0)
+        report = self.assert_serial(VerifySweepConfig(**self.CONFIG))
+        assert [summary.counterexample.m for summary in report.summaries] == [faulted[0]] * 5
 
     @pytest.mark.parametrize("check, name, change, witness", SEAM_FAULTS, ids=SEAM_IDS)
     def test_a_seam_fault(self, monkeypatch, check, name, change, witness):
@@ -775,14 +787,14 @@ class TestForkedLanes:
 
         monkeypatch.setattr(verify, KERNELS[check], stand_in)
 
-    @pytest.mark.parametrize("check", CHILD_LANE)
+    @pytest.mark.parametrize("check", CHECK_NAMES)
     @pytest.mark.parametrize("status", [9, 0], ids=["exit-9", "exit-0-unwritten"])
     def test_a_child_that_exits_early(self, monkeypatch, check, status):
         self.in_the_child(monkeypatch, check, lambda: os._exit(status))
         perturb(monkeypatch, "_recurrence_quotients", (5, 10), lambda x: (x[0] + 1, x[1]))
         assert not self.assert_serial(VerifySweepConfig(**self.CONFIG)).passed
 
-    @pytest.mark.parametrize("check", CHILD_LANE)
+    @pytest.mark.parametrize("check", CHECK_NAMES)
     def test_a_child_that_raises_only_in_the_child(self, monkeypatch, check):
         def fail():
             raise core.InvariantViolation("in the child")
@@ -825,7 +837,7 @@ class TestForkedLanes:
         monkeypatch.setattr(verify, "_check_doslic", interrupt)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            verify._run_forked(VerifySweepConfig(m_to=3, n_max=60))  # one sleep
+            verify._run_forked(VerifySweepConfig(m_to=4, n_max=60))  # the child sleeps at m = 4
         assert time.monotonic() - start < 30
 
 
