@@ -51,7 +51,7 @@ def gen(m: int, count: int, fmt: str):
 @_format("plain", "csv")
 def quotients(m: int, count: int, fmt: str):
     """Print the exact quotients x(n) = S(n+1)/S(n) for n = 1..COUNT."""
-    quotients = itertools.islice(core._direct_quotients(m), count)
+    quotients = itertools.islice(core._direct_quotients(m, core._closed_form_terms(m)), count)
     _echo_sequence(itertools.starmap(core._ratio_text, quotients), fmt, "x")
 
 

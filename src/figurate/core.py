@@ -74,13 +74,18 @@ def _check_index(n: int, minimum: int = 1, what: str = "term index") -> None:
 # second-order route yields a step that does not divide as a Fraction) that
 # trusts its polygon order; the public functions below validate their
 # arguments once and then slice an iterator. No route reads another route.
+# The three derived streams take the stream they read as an argument: the
+# direct quotients read the closed-form terms, and the second-order route and
+# the recurrence quotients read the coefficients, the one source that routes
+# share. So a caller that makes a source once can hand it to each reader.
 # Callers in other modules look a kernel up on this module when they call it
-# (`core._direct_quotients(m)`, never an imported name), so a test that
-# replaces one attribute here reaches every reader of that stream.
+# (`core._coefficients(m)`, never an imported name), so a test that replaces
+# one attribute here reaches every reader of that stream.
 #
-# A default sweep steps these kernels about 1.4 M times, so each step is kept
-# lean. Each form below was timed on CPython 3.11 against the obvious one it
-# replaced, and a default `figurate verify` got a fifth to a third faster:
+# A default sweep makes each stream once per m and steps these kernels about
+# 0.8 M times, so each step is kept lean. Each form below was timed on CPython
+# 3.11 against the obvious one it replaced, and a default `figurate verify` got
+# a fifth to a third faster:
 # - the closed forms test parity with `& 1` and halve with `>> 1`, not
 #   `divmod(..., 2)`, with `m - 2` and `4 - m` computed once;
 # - a stream whose step is a fixed increment (a progression, its running sums,
@@ -132,12 +137,15 @@ def _coefficients(m: int, first: int = 3) -> Iterator[tuple[int, int, int]]:
     )
 
 
-def _second_order_terms(m: int) -> Iterator[int | Fraction]:
-    """Like the other routes, except that a step that does not divide is a Fraction."""
+def _second_order_terms(
+    m: int, coefficients: Iterator[tuple[int, int, int]]
+) -> Iterator[int | Fraction]:
+    """Like the other routes, from the coefficients at n = 3, 4, ..., except that a
+    step that does not divide is a Fraction."""
     older, old = 1, m
     yield older
     yield old
-    for r, t, d in _coefficients(m):
+    for r, t, d in coefficients:
         step = r * old + t * older
         value = step // d
         if value * d != step:
@@ -151,18 +159,21 @@ def _progression_terms(m: int) -> Iterator[int]:
     return itertools.accumulate(itertools.count(1, m - 2))
 
 
-def _direct_quotients(m: int) -> Iterator[tuple[int, int]]:
-    """x(n) = S(n+1)/S(n) for n = 1, 2, ... as unreduced pairs (S(n+1), S(n))."""
-    terms, after = itertools.tee(_closed_form_terms(m))
+def _direct_quotients(m: int, terms: Iterator[int]) -> Iterator[tuple[int, int]]:
+    """x(n) = S(n+1)/S(n) for n = 1, 2, ... as unreduced pairs (S(n+1), S(n)), from the terms."""
+    terms, after = itertools.tee(terms)
     next(after, None)
     return zip(after, terms)
 
 
-def _recurrence_quotients(m: int) -> Iterator[tuple[int, int]]:
-    """x(n) for n = 1, 2, ... via x(n) = R(n+1) + T(n+1)/x(n-1), as pairs (p, q) in lowest terms."""
+def _recurrence_quotients(
+    m: int, coefficients: Iterator[tuple[int, int, int]]
+) -> Iterator[tuple[int, int]]:
+    """x(n) for n = 1, 2, ... via x(n) = R(n+1) + T(n+1)/x(n-1), as pairs (p, q) in lowest
+    terms, from the coefficients at n = 3, 4, ..."""
     p, q = m, 1
     yield p, q
-    for r, t, d in _coefficients(m):
+    for r, t, d in coefficients:
         if p <= 0:
             # unreachable: every quotient exceeds 1; guarded anyway
             raise InvariantViolation(f"non-positive quotient {_ratio_text(p, q)} at m={m}")
@@ -183,19 +194,32 @@ class _StreamEnded(InvariantViolation):
 def _window(first: int, last: int, *streams: Iterator) -> Iterator[tuple]:
     """Rows (value of each stream, ..., n) for n = first..last; each stream starts at n = first.
 
-    A stream that cannot fill row n raises `_StreamEnded(n)` after the rows before it. No
-    stream is read past `last`: zip reads left to right, and the bounded first one ends it.
+    The streams are read when this is called, one list each. A stream
+    that cannot fill row n, because it ends or raises there, raises
+    `_StreamEnded(n)` or its own exception after the rows before it, as a read
+    row by row would. No stream is read past `last`, nor past a row that a
+    stream before it could not fill.
     """
-    ns = iter(range(first, last + 1))  # read last, so an unfilled row takes no n from it
-    rows = zip(itertools.islice(streams[0], last - first + 1), *streams[1:], ns)
-    return itertools.chain(rows, _unfilled(ns))
+    count = last - first + 1
+    columns, failure = [], None
+    for stream in streams:
+        values, raised = [], None
+        try:
+            values.extend(itertools.islice(stream, count))  # keeps what it read on a raise
+        except Exception as error:  # raised after the rows before it
+            raised = error
+        if len(values) < count:  # so each stream after it is read for fewer rows
+            count = len(values)
+            failure = raised or _StreamEnded(first + count)
+        columns.append(values)
+    rows = zip(*columns, range(first, first + count))
+    return rows if failure is None else itertools.chain(rows, _unfilled(failure))
 
 
-def _unfilled(ns: Iterator[int]) -> Iterator:
-    """Yields nothing; raises `_StreamEnded` at the first index left in ns."""
-    for n in ns:
-        raise _StreamEnded(n)
-    yield from ()
+def _unfilled(failure: Exception) -> Iterator:
+    """Yields nothing; raises `failure`."""
+    raise failure
+    yield
 
 
 def _compare(x: tuple[int, int], y: tuple[int, int]) -> int:
@@ -293,7 +317,7 @@ def generate_second_order(m: int, count: int) -> list[int]:
     """
     _check_polygon_order(m)
     _check_index(count, minimum=1, what="count")
-    terms = list(itertools.islice(_second_order_terms(m), count))
+    terms = list(itertools.islice(_second_order_terms(m, _coefficients(m)), count))
     for n, term in enumerate(terms, start=1):
         if not isinstance(term, int):
             raise InvariantViolation(f"second-order step gave non-integer {term} at m={m} n={n}")
@@ -319,7 +343,8 @@ def quotient_direct(m: int, count: int) -> list[Fraction]:
     """
     _check_polygon_order(m)
     _check_index(count, what="count")
-    return [Fraction(p, q) for p, q in itertools.islice(_direct_quotients(m), count)]
+    quotients = _direct_quotients(m, _closed_form_terms(m))
+    return [Fraction(p, q) for p, q in itertools.islice(quotients, count)]
 
 
 def quotient_recurrence(m: int, count: int) -> list[Fraction]:
@@ -335,4 +360,5 @@ def quotient_recurrence(m: int, count: int) -> list[Fraction]:
     """
     _check_polygon_order(m)
     _check_index(count, what="count")
-    return [Fraction(p, q) for p, q in itertools.islice(_recurrence_quotients(m), count)]
+    quotients = _recurrence_quotients(m, _coefficients(m))
+    return [Fraction(p, q) for p, q in itertools.islice(quotients, count)]

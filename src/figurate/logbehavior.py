@@ -507,7 +507,9 @@ def check_doslic_criterion(m: int, n_max: int) -> CriterionReport:
     """
     _check_polygon_order(m)
     _check_index(n_max, minimum=3, what="n_max")
-    return CriterionReport(*verify._doslic_failures(m, n_max))
+    quotients = core._direct_quotients(m, core._closed_form_terms(m))
+    scan = verify._doslic_failures(m, n_max, quotients, core._coefficients(m))
+    return CriterionReport(*verify._finish(scan))
 
 
 def margin_sequence(m: int, count: int) -> list[int]:

@@ -15,20 +15,29 @@ exact counterexample, reported as (check, m, n, witness). The checks:
 Both strict conditions hold for every m >= 3 and n >= 1, so a tied quotient
 or a zero margin is a counterexample like any other.
 
-Sweeps are pure and deterministic; checks run in the canonical order above,
-each over ascending m, and a check that has failed is not evaluated for
-later m. Each check is one row of `_CHECKS`: its name and its `_check_*`
-kernel. A kernel takes (m, n_max) and returns (n, witness) for its first
-counterexample at m, or None; only the sweep names the check. It makes one
-streaming pass over n = 1..n_max through `core._window`, in O(1) memory per
-route; a stream that ends before n_max is a counterexample, "stream ended
-before n=...", at the first index it could not fill. Rationals are integer
-pairs compared by cross-multiplication and rendered by `core._ratio_text`,
-never as a `Fraction`; a zero or negative S(n) is a counterexample of each
-check whose condition it breaks.
+Sweeps are pure and deterministic. A check that has failed is not evaluated
+for later m. Each check is one row of `_CHECKS`: its name, its `_check_*`
+kernel and the `figurate.core` streams that kernel reads. The sweep goes m by
+m. At each m it makes each stream that an open check reads once, shares it
+between its readers through `itertools.tee`, and makes a derived stream (the
+direct quotients from the closed form, the second-order terms and the
+recurrence quotients from the coefficients) from its own copy of the source.
+A kernel takes (m, n_max, its streams) and is a generator: it reads its rows
+n = 1..n_max in blocks of `_BLOCK_ROWS` rows through `core._window`, pauses
+after each block, and returns (n, witness) for its first counterexample at m,
+or None; only the sweep names the check. Every open check reads a block
+before any reads the next, so the streams' shared buffers hold about one
+block and memory does not grow with n_max. A stream that ends before n_max is
+a counterexample, "stream ended before n=...", at the first index it could
+not fill. Rationals are integer pairs compared by cross-multiplication and
+rendered by `core._ratio_text`, never as a `Fraction`; a zero or negative
+S(n) is a counterexample of each check whose condition it breaks. Any other
+exception stops the sweep: the first raised, by m, then by block, then in
+check order. So when checks raise at different m, the sweep raises the one
+of the lowest m, not the one of the earliest check.
 
 The generators and the Doslic delta are looked up on `figurate.core` at each
-call, and the kernels on this module at each sweep, never imported by name:
+m, and the kernels on this module at each sweep, never imported by name:
 replacing a generator there puts a fault into every check that reads it, and a
 kernel its check.
 
@@ -40,6 +49,7 @@ the serial sweep.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import marshal
 import os
@@ -58,15 +68,31 @@ __all__ = [
     "run_verify_sweep",
 ]
 
-# One row per check, in run order: (name, kernel in this module)
-_CHECKS = (
-    ("cross-formula", "_check_cross_formula"),
-    ("bounds", "_check_bounds"),
-    ("monotonicity", "_check_monotonicity"),
-    ("margins", "_check_margins"),
-    ("doslic", "_check_doslic"),
+# (label, name of the route generator in figurate.core)
+_ROUTES = (
+    ("closed-form", "_closed_form_terms"),
+    ("alt-form", "_alt_form_terms"),
+    ("first-order", "_first_order_terms"),
+    ("second-order", "_second_order_terms"),
+    ("progression-sum", "_progression_terms"),
 )
-CHECK_NAMES = tuple(name for name, _ in _CHECKS)
+
+# One row per check, in run order: (name, kernel in this module, the figurate.core
+# streams it reads, in the order the kernel takes them)
+_CHECKS = (
+    ("cross-formula", "_check_cross_formula", tuple(name for _, name in _ROUTES)),
+    ("bounds", "_check_bounds", ("_direct_quotients",)),
+    ("monotonicity", "_check_monotonicity", ("_direct_quotients", "_recurrence_quotients")),
+    ("margins", "_check_margins", ("_closed_form_terms",)),
+    ("doslic", "_check_doslic", ("_direct_quotients", "_coefficients")),
+)
+# each derived stream: the stream it reads
+_SOURCES = {
+    "_direct_quotients": "_closed_form_terms",
+    "_second_order_terms": "_coefficients",
+    "_recurrence_quotients": "_coefficients",
+}
+CHECK_NAMES = tuple(name for name, *_ in _CHECKS)
 
 
 @dataclass(frozen=True)
@@ -150,26 +176,35 @@ class SweepReport:
         raise KeyError(f"no summary for check {check!r}")
 
 
-# (label, name of the route generator in figurate.core)
-_ROUTES = (
-    ("closed-form", "_closed_form_terms"),
-    ("alt-form", "_alt_form_terms"),
-    ("first-order", "_first_order_terms"),
-    ("second-order", "_second_order_terms"),
-    ("progression-sum", "_progression_terms"),
-)
+# Rows that each check reads before the next check reads its block. The memory a
+# sweep holds grows with it and with the width of the values in a block: at 96 the
+# peak at n_max = 5000 stays within 2 KB of the peak at 500, at 256 it is 9 KB above.
+_BLOCK_ROWS = 96
 
 
-def _check_cross_formula(m, n_max):
+def _blocks(first, last, *streams):
+    """`core._window(first, last, *streams)` in windows of at most _BLOCK_ROWS rows each.
+
+    A kernel reads its rows in these blocks, deletes each block and pauses after
+    it, so that it holds no block while the other checks read theirs.
+    """
+    for start in range(first, last + 1, _BLOCK_ROWS):
+        yield core._window(start, min(start + _BLOCK_ROWS - 1, last), *streams)
+
+
+def _check_cross_formula(m, n_max, *routes):
     """Reports the first route, in route order, that disagrees with the closed form."""
-    rows = core._window(1, n_max, *(getattr(core, name)(m) for _, name in _ROUTES))
     first = {}  # route position -> (n, witness) of its first disagreement
-    for anchor, alt, first_order, second_order, progression, n in rows:
-        if anchor == alt == first_order == second_order == progression:
-            continue
-        for position, value in enumerate((alt, first_order, second_order, progression), 1):
-            if value != anchor and position not in first:
-                first[position] = (n, f"{_ROUTES[0][0]}={anchor} {_ROUTES[position][0]}={value}")
+    for block in _blocks(1, n_max, *routes):
+        for anchor, alt, first_order, second_order, progression, n in block:
+            if anchor == alt == first_order == second_order == progression:
+                continue
+            for position, value in enumerate((alt, first_order, second_order, progression), 1):
+                if value != anchor and position not in first:
+                    labels = _ROUTES[0][0], _ROUTES[position][0]
+                    first[position] = (n, f"{labels[0]}={anchor} {labels[1]}={value}")
+        del block
+        yield
     return first[min(first)] if first else None
 
 
@@ -178,33 +213,36 @@ def _seed_quotients(m):
     return (m, 1), (3 * m - 3, m), (6 * m - 8, 3 * m - 3)
 
 
-def _check_bounds(m, n_max):
+def _check_bounds(m, n_max, quotients):
     """1 < x(n) <= m and the seeds x(1..3).
 
     At the first failing n the witness is, in this order: S(n) < 0, above m,
     off its seed, not > 1. The comparisons after the first assume S(n) >= 0.
     """
     seeds = _seed_quotients(m)
-    for x, n in core._window(1, n_max, core._direct_quotients(m)):
-        p, q = x
-        if q < p <= m * q and n > 3:
-            continue
-        value = _ratio_text(p, q)
-        if q < 0:
-            witness = f"x({n})={p}/{q} has S({n})={q} < 0"
-        elif p > m * q:
-            witness = f"x({n})={value} exceeds m={m}"
-        elif n <= 3 and _compare(x, seeds[n - 1]) != 0:
-            witness = f"x({n})={value} expected {_ratio_text(*seeds[n - 1])}"
-        elif p <= q:
-            witness = f"x({n})={value} is not > 1"
-        else:
-            continue
-        return n, witness
+    for block in _blocks(1, n_max, quotients):
+        for x, n in block:
+            p, q = x
+            if q < p <= m * q and n > 3:
+                continue
+            value = _ratio_text(p, q)
+            if q < 0:
+                witness = f"x({n})={p}/{q} has S({n})={q} < 0"
+            elif p > m * q:
+                witness = f"x({n})={value} exceeds m={m}"
+            elif n <= 3 and _compare(x, seeds[n - 1]) != 0:
+                witness = f"x({n})={value} expected {_ratio_text(*seeds[n - 1])}"
+            elif p <= q:
+                witness = f"x({n})={value} is not > 1"
+            else:
+                continue
+            return n, witness
+        del block
+        yield
     return None
 
 
-def _check_monotonicity(m, n_max):
+def _check_monotonicity(m, n_max, direct_quotients, recurrence_quotients):
     """The two quotient routes agree on the whole window, then x(n) < x(n - 1) for every n.
 
     A disagreement anywhere outranks an earlier tie or increase. The order is
@@ -212,58 +250,65 @@ def _check_monotonicity(m, n_max):
     quotient and margin routes to log-concavity stay independent.
     """
     step = None  # the first tie or increase
-    previous = None
-    rows = core._window(1, n_max, core._direct_quotients(m), core._recurrence_quotients(m))
-    for direct, recurred, n in rows:
-        (a, b), (p, q) = direct, recurred
-        if a * q != p * b:
-            witness = f"direct={_ratio_text(*direct)} recurrence={_ratio_text(*recurred)}"
-            return n, witness
-        if step is None and previous is not None and p * previous[1] >= previous[0] * q:
-            relation = "<" if p * previous[1] > previous[0] * q else "="
-            before, after = _ratio_text(*previous), _ratio_text(*recurred)
-            witness = f"x({n - 1})={before} {relation} x({n})={after}"
-            step = n, witness
-        previous = recurred
+    previous = None  # carried across blocks
+    for block in _blocks(1, n_max, direct_quotients, recurrence_quotients):
+        for direct, recurred, n in block:
+            (a, b), (p, q) = direct, recurred
+            if a * q != p * b:
+                witness = f"direct={_ratio_text(*direct)} recurrence={_ratio_text(*recurred)}"
+                return n, witness
+            if step is None and previous is not None and p * previous[1] >= previous[0] * q:
+                relation = "<" if p * previous[1] > previous[0] * q else "="
+                before, after = _ratio_text(*previous), _ratio_text(*recurred)
+                witness = f"x({n - 1})={before} {relation} x({n})={after}"
+                step = n, witness
+            previous = recurred
+        del block
+        yield
     return step
 
 
-def _check_margins(m, n_max):
+def _check_margins(m, n_max, terms):
     """S(j)^2 - S(j-1) S(j+1) > 0 for j = 2..n_max-1."""
-    rows = core._window(1, n_max, core._closed_form_terms(m))
-    (older, _), (old, _) = next(rows), next(rows)  # n_max >= 3, and a short stream raises
-    for term, n in rows:
-        margin = old * old - older * term
-        if margin <= 0:
-            return n - 1, f"margin={margin}"
-        older, old = old, term
+    (older, _), (old, _) = core._window(1, 2, terms)  # n_max >= 3; carried across blocks
+    for block in _blocks(3, n_max, terms):
+        for term, n in block:
+            margin = old * old - older * term
+            if margin <= 0:
+                return n - 1, f"margin={margin}"
+            older, old = old, term
+        del block
+        yield
     return None
 
 
-def _doslic_failures(m, n_max):
+def _doslic_failures(m, n_max, quotients, coefficients):
     """The first n on [3, n_max] where each Doslic condition fails, or None where it holds:
     R(n) < 0, T(n) > 0, x(3) < x(4) (at n = 3) and dR(n) x(n - 2) + dT(n) > 0, in
     that order. R(n) = r/d and T(n) = t/d with d > 0, and a quotient pair whose
-    denominator is <= 0 fails its condition."""
+    denominator is <= 0 fails its condition. A kernel: it pauses after each block."""
     # read first, so that a short quotient stream names its earliest missing index
-    quotients = itertools.islice(core._direct_quotients(m), 2, None)
-    (seed, _), (following, _) = core._window(3, 4, quotients)
+    quotients, seeds = itertools.tee(quotients)
+    (seed, _), (following, _) = core._window(3, 4, itertools.islice(seeds, 2, None))
+    del seeds  # so that the shared stream keeps no values for it
     seed_ok = min(seed[1], following[1]) > 0 and _compare(seed, following) >= 0
     first_r = first_t = first_delta = None
     delta = core._doslic_delta
-    coefficients = core._coefficients(m)
-    ((here, _),) = core._window(3, 3, coefficients)
+    ((here, _),) = core._window(3, 3, coefficients)  # carried across blocks
     # the rest of the coefficients, from n + 1, and x(n - 2), for each n
-    for ahead, x, n in core._window(3, n_max, coefficients, core._direct_quotients(m)):
-        delta_fails = x[1] <= 0 or delta(here, ahead, x) > 0
-        if here[0] < 0 or here[1] > 0 or delta_fails:
-            if here[0] < 0 and first_r is None:
-                first_r = n
-            if here[1] > 0 and first_t is None:
-                first_t = n
-            if delta_fails and first_delta is None:
-                first_delta = n
-        here = ahead
+    for block in _blocks(3, n_max, coefficients, quotients):
+        for ahead, x, n in block:
+            delta_fails = x[1] <= 0 or delta(here, ahead, x) > 0
+            if here[0] < 0 or here[1] > 0 or delta_fails:
+                if here[0] < 0 and first_r is None:
+                    first_r = n
+                if here[1] > 0 and first_t is None:
+                    first_t = n
+                if delta_fails and first_delta is None:
+                    first_delta = n
+            here = ahead
+        del block
+        yield
     return first_r, first_t, None if seed_ok else 3, first_delta
 
 
@@ -276,37 +321,81 @@ _DOSLIC_WITNESSES = (
 )
 
 
-def _check_doslic(m, n_max):
+def _check_doslic(m, n_max, quotients, coefficients):
     """The four Doslic conditions on [3, n_max], reported in the order R, T, seed step, delta."""
-    failures = zip(_doslic_failures(m, n_max), _DOSLIC_WITNESSES)
-    return next(((n, witness) for n, witness in failures if n is not None), None)
+    failures = yield from _doslic_failures(m, n_max, quotients, coefficients)
+    return next(
+        ((n, witness) for n, witness in zip(failures, _DOSLIC_WITNESSES) if n is not None), None
+    )
+
+
+def _finish(scan):
+    """What a kernel's scan returns, run to its end without pausing."""
+    while True:
+        try:
+            next(scan)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _streams(m, wanted):
+    """For each tuple of `figurate.core` stream names in `wanted`, a tuple of those streams at m.
+
+    Each stream is made once and shared by its readers through tee, and a derived
+    stream reads its own copy of its source. A stream that no one reads is not made.
+    """
+    readers = collections.Counter(name for names in wanted for name in names)
+    for derived, source in _SOURCES.items():
+        if readers[derived]:
+            readers[source] += 1
+    copies = {}
+    for name in sorted(readers, key=_SOURCES.__contains__):  # sources first
+        source = _SOURCES.get(name)
+        stream = getattr(core, name)(m, *([copies[source].pop()] if source else []))
+        count = readers[name]
+        copies[name] = list(itertools.tee(stream, count)) if count > 1 else [stream]
+    return [tuple(copies[name].pop() for name in names) for names in wanted]
 
 
 def run_verify_sweep(config: VerifySweepConfig | None = None) -> SweepReport:
     """Run the configured checks over every m in the range.
 
     Each check stops at its first counterexample; a stream that ends early is one.
+    The sweep goes m by m: it makes each stream that an open check reads once,
+    and every open check reads its next block of rows before any reads the one
+    after. An exception other than a stream that ends early stops the sweep: the
+    first one raised, at the lowest m, then the earliest block, then in check order.
     """
     if config is None:
         config = VerifySweepConfig()
     if not isinstance(config, VerifySweepConfig):
         raise TypeError(f"config must be a VerifySweepConfig or None, got {type(config).__name__}")
-    summaries = []
-    for check, attribute in _CHECKS:
-        if check not in config.checks:
-            continue
-        kernel = globals()[attribute]
-        counterexample = None
-        for m in range(config.m_from, config.m_to + 1):
-            try:
-                found = kernel(m, config.n_max)
-            except core._StreamEnded as ended:
-                found = ended.n, str(ended)
-            if found is not None:
-                counterexample = Counterexample(check, m, *found)
-                break
-        summaries.append(CheckSummary(check, counterexample))
-    return SweepReport(config, tuple(summaries))
+    rows = [row for row in _CHECKS if row[0] in config.checks]
+    found = {}  # check -> its first counterexample
+    for m in range(config.m_from, config.m_to + 1):
+        rows = [row for row in rows if row[0] not in found]
+        if not rows:
+            break
+        streams = _streams(m, [names for _, _, names in rows])
+        # each scan holds its streams alone, so that a scan that ends frees its copies
+        scans = {
+            check: globals()[kernel](m, config.n_max, *streams.pop(0))
+            for check, kernel, _ in rows
+        }
+        while scans:
+            for check, scan in list(scans.items()):
+                try:
+                    next(scan)
+                    continue
+                except StopIteration as stop:
+                    result = stop.value
+                except core._StreamEnded as ended:
+                    result = ended.n, str(ended)
+                del scans[check]
+                if result is not None:
+                    found[check] = Counterexample(check, m, *result)
+    summaries = tuple(CheckSummary(check, found.get(check)) for check in config.checks)
+    return SweepReport(config, summaries)
 
 
 def _run_forked(config: VerifySweepConfig) -> SweepReport:
@@ -314,10 +403,12 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
 
     Each m is checked apart from the others, so the report is the serial one: a
     check's first counterexample in the lower half, else its first in the upper.
-    The child sends its summaries back through a pipe as marshalled tuples. Any
+    The child sends its summaries back through a pipe as marshalled tuples; when
+    every check has failed in the lower half, the child is killed unread. Any
     failure, of the pipe, the fork, the parent's half or a child that ends
     without a complete result, kills the child and returns the serial sweep, so
-    every exception is the one a serial run raises. The child is always reaped.
+    every exception is the one a serial run raises: that of the lowest m, not
+    that of the earliest check. The child is always reaped.
     """
     if config.m_from == config.m_to or not hasattr(os, "fork"):
         return run_verify_sweep(config)
@@ -339,6 +430,8 @@ def _run_forked(config: VerifySweepConfig) -> SweepReport:
                     os._exit(status)
             sink.close()
             own = run_verify_sweep(replace(config, m_to=middle - 1)).summaries
+            if not any(summary.passed for summary in own):
+                return SweepReport(config, own)  # the child is killed below
             child = tuple(
                 CheckSummary(check, None if found is None else Counterexample(*found))
                 for check, found in marshal.load(source)

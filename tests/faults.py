@@ -16,18 +16,20 @@ def _replace(monkeypatch, name, m_at, edit):
 
     start is the index of the stream's first value: its `first` argument
     when it takes one (so `core._coefficients(m)` starts at n = 3), else 1.
+    A derived stream takes the stream it reads instead, and starts at 1.
     Streams for other m are unchanged. `monkeypatch` is pytest's fixture or
     a `pytest.MonkeyPatch.context()`, which undoes the change.
     """
     real = getattr(core, name)
     first = inspect.signature(real).parameters.get("first")
-    default_first = 1 if first is None else first.default
 
     def stand_in(m, *args):
         values = real(m, *args)
         if m != m_at:
             return values
-        return edit(values, args[0] if args else default_first)
+        if first is None:
+            return edit(values, 1)
+        return edit(values, args[0] if args else first.default)
 
     monkeypatch.setattr(core, name, stand_in)
 

@@ -313,6 +313,31 @@ class TestWindow:
         assert ended.value.n == 5 + length
         assert isinstance(ended.value, InvariantViolation)
 
+    @pytest.mark.parametrize("position", range(3))
+    def test_a_stream_that_raises_raises_after_the_rows_before_it(self, position):
+        # the window reads each stream ahead of the rows; an error is still raised
+        # at the row where a read row by row would raise it, and no later
+        streams = [iter("abc"), iter("def"), iter("ghi")]
+        streams[position] = ending_with("xy", ZeroDivisionError(position))
+        rows = core._window(5, 7, *streams)
+        assert [row[-1] for row in itertools.islice(rows, 2)] == [5, 6]
+        with pytest.raises(ZeroDivisionError, match=f"^{position}$"):
+            next(rows)
+
+    def test_an_unread_row_raises_nothing(self):
+        # a reader that stops before the failing row never sees the error
+        rows = core._window(1, 3, iter("ab"), ending_with("p", ZeroDivisionError()))
+        assert next(rows) == ("a", "p", 1)
+
+    def test_no_stream_is_read_past_a_row_that_one_before_it_could_not_fill(self):
+        first, second = iter("abcdef"), iter("x")
+        third = ending_with("p", AssertionError("read past n = 1"))
+        rows = core._window(1, 6, first, second, third)
+        assert next(rows) == ("a", "x", "p", 1)
+        with pytest.raises(core._StreamEnded, match="^stream ended before n=2$"):
+            next(rows)
+        assert list(first) == []  # read to the window end, ahead of the rows
+
 
 # any int, or one of up to 1000 digits either side of zero
 big_integers = st.integers() | st.integers(-(10**1000), 10**1000)

@@ -510,9 +510,9 @@ class TestDoslicCriterion:
         assert len(calls) == n_max - 2
         assert report.verdict is not (crooked and n_max == 50)
         calls.clear()
-        found = verify._check_doslic(3, n_max)
+        sweep = verify.run_verify_sweep(verify.VerifySweepConfig(3, 3, n_max, ("doslic",)))
         assert len(calls) == n_max - 2
-        assert (found is None) is report.verdict
+        assert sweep.passed is report.verdict
 
 
 class TestEnumRendering:

@@ -1,5 +1,6 @@
 """Tests for sweep configuration and the cross-checking sweep itself."""
 
+import collections
 import dataclasses
 import errno
 import importlib.util
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from figurate import core, verify
 from figurate.core import (
+    _closed_form_terms,
     _coefficients,
     _compare,
     _direct_quotients,
@@ -218,9 +220,70 @@ class TestSweep:
         assert report.passed
 
 
+class TestOneStreamPerM:
+    """The sweep makes each core stream once per m, and only those that an open check reads."""
+
+    NAMES = ("_closed_form_terms", "_coefficients", "_direct_quotients")
+
+    def count_calls(self, monkeypatch):
+        calls = collections.Counter()  # (name, m) -> calls
+        for name in self.NAMES:
+            real = getattr(core, name)
+
+            def counted(m, *args, name=name, real=real):
+                calls[name, m] += 1
+                return real(m, *args)
+
+            monkeypatch.setattr(core, name, counted)
+        return calls
+
+    def test_every_check_reads_one_stream_of_each(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        assert run_verify_sweep(VerifySweepConfig(m_from=3, m_to=6, n_max=60)).passed
+        assert calls == {(name, m): 1 for name in self.NAMES for m in range(3, 7)}
+
+    def test_the_margins_check_makes_no_coefficients(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        config = VerifySweepConfig(m_from=3, m_to=6, n_max=60, checks=("margins",))
+        assert run_verify_sweep(config).passed
+        assert calls == {("_closed_form_terms", m): 1 for m in range(3, 7)}
+
+
+class TestBlocks:
+    """`verify._blocks` reads a window in blocks of at most `_BLOCK_ROWS` rows."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 9, 256])
+    def test_the_blocks_are_the_window_in_order(self, monkeypatch, rows):
+        monkeypatch.setattr(verify, "_BLOCK_ROWS", rows)
+        streams = [iter(range(10, 30)), iter(range(50, 70))]
+        blocks = [list(block) for block in verify._blocks(4, 12, *streams)]
+        assert all(len(block) == rows for block in blocks[:-1])
+        assert 1 <= len(blocks[-1]) <= rows
+        # rows start at `first`, and no stream is read past the window end
+        assert [row for block in blocks for row in block] == [
+            (10 + k, 50 + k, 4 + k) for k in range(9)
+        ]
+        assert (next(streams[0]), next(streams[1])) == (19, 59)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_a_short_stream_raises_after_the_rows_before_it(self, monkeypatch, rows):
+        monkeypatch.setattr(verify, "_BLOCK_ROWS", rows)
+        read = []
+        with pytest.raises(core._StreamEnded, match="^stream ended before n=8$"):
+            for block in verify._blocks(3, 20, iter(range(100)), iter(range(5))):
+                read += block
+        assert [n for _, _, n in read] == [3, 4, 5, 6, 7]
+
+
 def fixed(values):
-    """A stand-in for a generator function m -> stream that yields `values`."""
-    return lambda m: iter(values)
+    """A stand-in for a core generator, (m, its source stream if any) -> a stream of `values`."""
+    return lambda m, *source: iter(values)
+
+
+def kernel_result(check, m, n_max):
+    """(n, witness) of the first counterexample of `check` in a sweep of m alone, or None."""
+    counterexample = run_verify_sweep(VerifySweepConfig(m, m, n_max, (check,))).first_counterexample
+    return None if counterexample is None else (counterexample.n, counterexample.witness)
 
 
 class TestCheckFunctions:
@@ -242,7 +305,7 @@ class TestCheckFunctions:
         ]
         for (_, name), column in zip(verify._ROUTES, zip(*terms)):
             monkeypatch.setattr(core, name, fixed(column))
-        assert verify._check_cross_formula(3, 5) == (4, "closed-form=10 alt-form=9")
+        assert kernel_result("cross-formula", 3, 5) == (4, "closed-form=10 alt-form=9")
 
     @pytest.mark.parametrize(
         "direct, expected",
@@ -258,18 +321,18 @@ class TestCheckFunctions:
     )
     def test_bounds(self, monkeypatch, direct, expected):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        assert verify._check_bounds(5, 10) == expected
+        assert kernel_result("bounds", 5, 10) == expected
 
     def test_monotonicity_stops_at_the_first_tie_or_increase(self, monkeypatch):
         direct = [(4, 1), (18, 8), (9, 4), (2, 1), (3, 1)]
         recurred = [(4, 1), (9, 4), (9, 4), (2, 1), (3, 1)]
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
         monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred))
-        assert verify._check_monotonicity(4, 5) == (3, "x(2)=9/4 = x(3)=9/4")
+        assert kernel_result("monotonicity", 4, 5) == (3, "x(2)=9/4 = x(3)=9/4")
         # without the tie, the increase after it is the counterexample
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct[:2] + direct[3:]))
         monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred[:2] + recurred[3:]))
-        assert verify._check_monotonicity(4, 4) == (4, "x(3)=2 < x(4)=3")
+        assert kernel_result("monotonicity", 4, 4) == (4, "x(3)=2 < x(4)=3")
         # a disagreement of the two routes anywhere, either way round, outranks
         # the tie and the increase
         mismatches = [
@@ -279,7 +342,7 @@ class TestCheckFunctions:
         for x, y, witness in mismatches:
             monkeypatch.setattr(core, "_direct_quotients", fixed(direct + [x]))
             monkeypatch.setattr(core, "_recurrence_quotients", fixed(recurred + [y]))
-            assert verify._check_monotonicity(4, 6) == (6, witness)
+            assert kernel_result("monotonicity", 4, 6) == (6, witness)
 
     @pytest.mark.parametrize(
         "terms, expected",
@@ -288,7 +351,7 @@ class TestCheckFunctions:
     )
     def test_margins(self, monkeypatch, terms, expected):
         monkeypatch.setattr(core, "_closed_form_terms", fixed(terms))
-        assert verify._check_margins(3, 6) == expected
+        assert kernel_result("margins", 3, 6) == expected
 
     # At m = 3, dR(n)x + dT(n) > 0 exactly when x < 1, for every n. The delta
     # condition reads x(1), x(2), x(3) at n = 3, 4, 5, and of those only the
@@ -304,7 +367,7 @@ class TestCheckFunctions:
     )
     def test_doslic_delta_reads_the_lagged_quotient(self, monkeypatch, direct, n):
         monkeypatch.setattr(core, "_direct_quotients", fixed(direct))
-        assert verify._check_doslic(3, 5) == (n, "dR(n)x(n-2) + dT(n) > 0")
+        assert kernel_result("doslic", 3, 5) == (n, "dR(n)x(n-2) + dT(n) > 0")
 
     @pytest.mark.parametrize(
         "negative_r, positive_t, expected",
@@ -518,9 +581,10 @@ class TestFaultsThroughTheSeam:
     def test_the_direct_quotients_read_the_closed_form_through_core(
         self, monkeypatch, check, witness
     ):
-        # `_direct_quotients` pairs two copies of one `_closed_form_terms`
-        # stream, looked up on figurate.core, so a closed-form fault reaches
-        # the quotient checks: S(40) - gnomon(39) = S(39) makes x(39) = 1.
+        # `_direct_quotients` pairs two copies of the sweep's one
+        # `_closed_form_terms` stream, looked up on figurate.core, so a
+        # closed-form fault reaches the quotient checks: S(40) - gnomon(39) =
+        # S(39) makes x(39) = 1.
         perturb(monkeypatch, "_closed_form_terms", (7, 40), lambda s: s - gnomon(7, 39))
         report = run_verify_sweep(VerifySweepConfig(**self.CONFIG, checks=(check,)))
         assert report.first_counterexample == Counterexample(check, 7, 39, witness)
@@ -530,7 +594,7 @@ class TestFaultsThroughTheSeam:
         # `_direct_quotients` reads one term ahead when it is called; a bare
         # StopIteration from that read must not escape the call.
         monkeypatch.setattr(core, "_closed_form_terms", lambda m, first=1: iter(terms))
-        assert list(core._direct_quotients(7)) == []
+        assert list(core._direct_quotients(7, core._closed_form_terms(7))) == []
         assert core.quotient_direct(7, 3) == []
 
     # Every check reads indices up to n_max + 1 (x(n_max) = S(n_max + 1)/S(n_max)
@@ -641,13 +705,71 @@ class TestOneDoslicScan:
             assert summary.counterexample == Counterexample("doslic", m, n, witness)
 
 
+def raise_both_quotients(monkeypatch):
+    """x(40) = 7 = m at m = 7 on both quotient routes: an increase that only the
+    monotonicity order reads, with x(39) carried from the row before."""
+    for name in ("_direct_quotients", "_recurrence_quotients"):
+        perturb(monkeypatch, name, (7, 40), lambda x: (7, 1))
+
+
+def truncation(name, cut):
+    start = 3 if name == "_coefficients" else 1
+    return partial(truncate, name=name, at=(7, (start, start + 1, 40)[cut]))
+
+
+# Every fault of the tables above, each at m = 7 or at the m of its table entry
+FAULT_TABLE = {
+    **{
+        f"seam-{label}": partial(perturb, name=name, at=(7, 40), change=change)
+        for label, (_, name, change, _) in zip(SEAM_IDS, SEAM_FAULTS)
+    },
+    "non-integer-second-order": partial(
+        perturb, name="_coefficients", at=(7, 40), change=lambda c: (-c[0], c[1], c[2])
+    ),
+    "closed-form-under-the-quotients": partial(
+        perturb, name="_closed_form_terms", at=(7, 40), change=lambda s: s - gnomon(7, 39)
+    ),
+    **{
+        f"truncated-{name}-{cut}": truncation(name, cut)
+        for name in TRUNCATIONS
+        for cut in range(3)
+    },
+    **{
+        f"non-positive-{label}": fault
+        for label, (fault, _, _) in zip(NON_POSITIVE_IDS, NON_POSITIVE)
+    },
+    **{
+        f"doslic-{label}": partial(perturb, name=name, at=(7, index), change=change)
+        for label, (name, index, change, *_) in zip(["R", "T", "seed-step", "delta"], DOSLIC_FAULTS)
+    },
+    "increase-at-40": raise_both_quotients,
+}
+
+
+class TestBlockEdges:
+    """Every fault gives the same report whatever the block size, as a fault may
+    sit at a block edge, where a kernel reads the rows it carried from the block before."""
+
+    CONFIG = dict(m_to=8, n_max=60)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("fault", FAULT_TABLE.values(), ids=FAULT_TABLE.keys())
+    def test_the_report_does_not_depend_on_the_block_size(self, monkeypatch, fault, rows):
+        fault(monkeypatch)
+        config = VerifySweepConfig(**self.CONFIG)
+        expected = run_verify_sweep(config)
+        assert not expected.passed
+        monkeypatch.setattr(verify, "_BLOCK_ROWS", rows)
+        assert run_verify_sweep(config) == expected
+
+
 def open_fds():
     """This process's open file descriptors, or None where /proc/self/fd does not exist."""
     return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 # each check's kernel, by its name in `verify`
-KERNELS = dict(verify._CHECKS)
+KERNELS = {check: kernel for check, kernel, _ in verify._CHECKS}
 
 
 class TestForkedLanes:
@@ -692,7 +814,8 @@ class TestForkedLanes:
         parent = os.getpid()
 
         def elsewhere(check):
-            def stand_in(m, n_max):
+            def stand_in(m, n_max, *streams):
+                yield from ()  # a kernel is a generator
                 if os.getpid() == parent:
                     return None
                 return 1, "ran in a child"
@@ -780,10 +903,10 @@ class TestForkedLanes:
         parent = os.getpid()
         real = getattr(verify, KERNELS[check])
 
-        def stand_in(m, n_max):
+        def stand_in(m, n_max, *streams):
             if os.getpid() != parent:
                 act()
-            return real(m, n_max)
+            return (yield from real(m, n_max, *streams))
 
         monkeypatch.setattr(verify, KERNELS[check], stand_in)
 
@@ -816,7 +939,7 @@ class TestForkedLanes:
     )
     def test_an_exception_is_the_one_a_serial_run_raises(self, monkeypatch, raising, first):
         def stand_in(check):
-            def raise_it(m, n_max):
+            def raise_it(m, n_max, *streams):
                 raise core.InvariantViolation(f"{check} at m={m}")
 
             return raise_it
@@ -829,8 +952,28 @@ class TestForkedLanes:
         with pytest.raises(core.InvariantViolation, match=f"^{first} at m=3$"):
             verify._run_forked(config)
 
+    def test_a_lower_half_where_every_check_fails_does_not_wait_for_the_child(self, monkeypatch):
+        config = VerifySweepConfig()  # the default window: the child's half takes a while
+
+        def best_time():
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                report = verify._run_forked(config)
+                times.append(time.perf_counter() - start)
+            return report, min(times)
+
+        passing, passing_time = best_time()
+        assert passing.passed
+        # S(5) = 0 at m = 3 breaks all five checks there (see NON_POSITIVE)
+        perturb(monkeypatch, "_closed_form_terms", (3, 5), lambda s: 0)
+        report, failing_time = best_time()
+        assert report == run_verify_sweep(config)
+        assert [summary.counterexample.m for summary in report.summaries] == [3] * 5
+        assert failing_time < passing_time / 3, (failing_time, passing_time)
+
     def test_an_interrupt_in_the_parent_kills_the_child(self, monkeypatch):
-        def interrupt(m, n_max):
+        def interrupt(m, n_max, *streams):
             raise KeyboardInterrupt
 
         self.in_the_child(monkeypatch, "bounds", lambda: time.sleep(60))  # unless it is killed
@@ -855,15 +998,19 @@ def sweeps(draw):
 
 
 class TestFractionOracle:
+    # None: the default block size; the others put a block edge near every fault
+    @pytest.mark.parametrize("rows", [None, 1, 2, 7])
     @settings(max_examples=60, deadline=None)
     @given(sweeps())
-    def test_reports_match_the_fraction_sweep(self, sweep):
+    def test_reports_match_the_fraction_sweep(self, rows, sweep):
         # The oracle runs first: its first-order route reads the core
         # generator too, and takes its corruption from its own corrupt_at.
         config, corrupt_at = sweep
         expected = run_fraction_sweep(config, corrupt_at)
         # hypothesis rejects function-scoped fixtures, so no monkeypatch fixture
         with pytest.MonkeyPatch.context() as patch:
+            if rows is not None:
+                patch.setattr(verify, "_BLOCK_ROWS", rows)
             if corrupt_at is not None:
                 perturb(patch, "_first_order_terms", corrupt_at, lambda term: term + 1)
             assert run_verify_sweep(config) == expected
@@ -886,8 +1033,10 @@ class TestIntegerConditions:
 
     def test_quotient_comparisons(self):
         for m in self.M_RANGE:
-            direct = list(itertools.islice(_direct_quotients(m), self.N_MAX + 1))
-            recurred = list(itertools.islice(_recurrence_quotients(m), self.N_MAX + 1))
+            direct = _direct_quotients(m, _closed_form_terms(m))
+            recurred = _recurrence_quotients(m, _coefficients(m))
+            direct = list(itertools.islice(direct, self.N_MAX + 1))
+            recurred = list(itertools.islice(recurred, self.N_MAX + 1))
             assert all(math.gcd(*y) == 1 for y in recurred)
             comparisons = []
             for x, y in zip(direct, recurred):
@@ -920,7 +1069,7 @@ class TestIntegerConditions:
     @pytest.mark.parametrize("lag", [1, 2])
     def test_doslic_delta(self, lag):
         for m in self.M_RANGE:
-            direct = list(itertools.islice(_direct_quotients(m), self.N_MAX))
+            direct = list(itertools.islice(_direct_quotients(m, _closed_form_terms(m)), self.N_MAX))
             coefficients = itertools.pairwise(_coefficients(m))
             for n, (here, ahead) in zip(range(3, self.N_MAX + 1), coefficients):
                 x = direct[n - lag - 1]
