@@ -12,10 +12,7 @@ for the m-gonal figurate families: the quotient bounds 1 < x(n) <= m on the
 quotients a caller supplies, and the Doslic sufficient criterion for
 log-concavity of sequences defined by a two-term recurrence with variable
 coefficients on [3, n_max], since the recurrence starts at n = 3. The Doslic
-scan itself is `figurate.verify`'s, shared with its `doslic` check. The margin
-and the quotient route each read three consecutive terms at a time, so
-`figurate analyze` feeds both one block of terms, with the two terms before
-it, and holds one block at a time.
+scan itself is `figurate.verify`'s, shared with its `doslic` check.
 
 All verdicts are exact and window-scoped: a passing window means "no
 counterexample found on this window", never a claim about all n.
@@ -101,11 +98,11 @@ class PositiveSequence(Sequence):
 
     @classmethod
     def _from_blocks(cls, blocks: Iterable[tuple[list[int], list[int]]]) -> PositiveSequence:
-        """A sequence from blocks of (numerator, denominator) pairs as two int lists, with
-        denominators > 0; a term <= 0 and no terms raise as :func:`_positive_blocks` raises them."""
+        """A sequence from blocks of positive terms, each a list of numerators and one of
+        denominators, as the reader `figurate.seqio._pair_blocks` yields them."""
         numerators: list[int] = []
         denominators: list[int] = []
-        for block_nums, block_dens in _positive_blocks(blocks):
+        for block_nums, block_dens in blocks:
             numerators += block_nums
             denominators += block_dens
         sequence = cls.__new__(cls)
@@ -174,32 +171,6 @@ _NO_TERMS = "a positive sequence needs at least one term"
 
 def _not_positive(position: int, numerator: int, denominator: int) -> ValueError:
     return ValueError(f"term {position} is not positive: {core._ratio_text(numerator, denominator)}")
-
-
-def _positive_blocks(
-    blocks: Iterable[tuple[list[int], list[int]]],
-) -> Iterator[tuple[list[int], list[int]]]:
-    """Blocks of (numerator, denominator) pairs as two int lists, with denominators
-    > 0, passed on up to the first block that holds a term <= 0.
-
-    The blocks after it are still read, so that an error raised while making
-    them comes first. Then the first term <= 0 is raised as PositiveSequence
-    raises it, naming its 1-based position; so is an input with no terms.
-    """
-    seen = 0
-    error = None
-    for numerators, denominators in blocks:
-        if error is None:
-            if min(numerators, default=1) > 0:
-                yield numerators, denominators
-            else:
-                index = next(i for i, numerator in enumerate(numerators) if numerator <= 0)
-                error = _not_positive(seen + index + 1, numerators[index], denominators[index])
-        seen += len(numerators)
-    if error is not None:
-        raise error
-    if not seen:
-        raise ValueError(_NO_TERMS)
 
 
 def _as_sequence(seq: PositiveSequence | Iterable[int | Fraction]) -> PositiveSequence:
@@ -304,18 +275,18 @@ def quotient_monotonicity(
 def _classify_blocks(
     blocks: Iterable[tuple[list[int], list[int]]],
 ) -> tuple[LogBehaviorReport, MonotonicityReport]:
-    """Both routes' reports on terms given in blocks of (numerator, denominator)
-    pairs as two int lists, with denominators > 0.
+    """Both routes' reports on blocks of positive terms, each a list of
+    numerators and one of denominators, as `figurate.seqio._pair_blocks`
+    yields them.
 
     Each block is scanned with the two terms before it, so every three-term
-    window is scanned once and one block is held at a time. A term <= 0 and
-    an input with no terms raise as :func:`_positive_blocks` raises them.
+    window is scanned once and one block is held at a time.
     """
     seen = 0  # terms read so far
     nums: list[int] = []  # between blocks, the last two of them
     dens: list[int] = []
     margin = quotient = (None, None)  # each route's first index of each sign
-    for block_nums, block_dens in _positive_blocks(blocks):
+    for block_nums, block_dens in blocks:
         first = seen - len(nums) + 1  # the index of the first term scanned
         nums, dens = nums + block_nums, dens + block_dens
         if not all(margin):

@@ -16,7 +16,8 @@ binary file. It is read in chunks of a fixed size and parsed token by token,
 so the memory it takes grows with the integers kept, not with the text or its
 token count. A token cut by chunk edges waits, in pieces, for the whitespace
 that ends it. For bytes that are not UTF-8, both readers raise one error
-naming the offset, before any other error.
+naming the offset, before any other error. The sequence-file reader alone
+orders its errors (see :func:`parse_sequence_file`) and yields positive terms only.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import BinaryIO, TextIO
 
 from figurate.core import _is_int
-from figurate.logbehavior import PositiveSequence
+from figurate.logbehavior import _NO_TERMS, PositiveSequence, _not_positive
 
 __all__ = [
     "BFileRecord",
@@ -231,34 +232,38 @@ def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequ
     memoryview too), or a text or binary file object open for reading, which
     is read to its end in chunks; a binary one is read as UTF-8. Each token
     becomes an integer numerator and denominator, not reduced. Errors come in
-    one order, wherever the chunk edges fall: bytes that are not UTF-8,
-    anywhere in the input, raise ValueError with their 0-based byte offset;
-    then an unparseable token, a zero denominator, or a number longer than
-    Python's int/str digit limit (4300 digits by default) raises
-    :class:`SequenceParseError` with its 1-based position; only then is a
-    non-positive term rejected, as :class:`~figurate.logbehavior.PositiveSequence`
-    rejects it, with its position named.
+    one order, wherever the chunk edges fall, as :func:`_pair_blocks` decides
+    it: bytes that are not UTF-8, anywhere in the input, raise ValueError with
+    their 0-based byte offset; then an unparseable token, a zero denominator,
+    or a number longer than Python's int/str digit limit (4300 digits by
+    default) raises :class:`SequenceParseError` with its 1-based position;
+    then the first term <= 0 raises ValueError as
+    :class:`~figurate.logbehavior.PositiveSequence` raises it, with its
+    position named; last, an input with no terms raises ValueError.
     """
     return PositiveSequence._from_blocks(_pair_blocks(source))
 
 
 def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list[int], list[int]]]:
-    """The terms of a sequence file as blocks of (numerators, denominators).
+    """The positive terms of a sequence file as blocks of (numerators, denominators).
 
-    A block per chunk in which a token ends: the text read since the last
-    whitespace is kept in pieces and joined once, by the next chunk that
-    holds whitespace, so a token cut by chunk edges is parsed in time linear
-    in its length, and a chunk inside one token yields no block. The same
-    two lists are refilled for every block, and each chunk's tokens are
-    dropped before the next chunk is read, so a caller copies what it keeps
-    before it asks for the next block, and the reader holds one chunk's
-    worth. A bad token raises :class:`SequenceParseError` naming its 1-based
-    position once the rest of the text is read and dropped, so that bytes
-    that are not UTF-8 raise first; the sign of a term is not checked here.
+    A block per chunk that holds whitespace, empty when no token ends there:
+    the text read since the last whitespace is kept in pieces and joined
+    once, by the next chunk that holds whitespace, so a token cut by chunk
+    edges is parsed in time linear in its length. The same two lists are
+    refilled for every block, and each chunk's tokens are dropped before the
+    next chunk is read, so a caller copies what it keeps before it asks for
+    the next block, and the reader holds one chunk's worth.
+
+    Only this reader reads the text to its end, so it alone orders the input
+    errors, as :func:`parse_sequence_file` lists them: it raises a bad token
+    or the first term <= 0 once the rest of the text is read, and yields no
+    block from the first that holds a term <= 0 on.
     """
     numerators: list[int] = []
     denominators: list[int] = []
     position = 0
+    error = None  # the first term <= 0, raised once the text is read
     cut: list[str] = []  # the text read since the last whitespace, in pieces
     # a last blank chunk ends the token that ends the text
     chunks = itertools.chain(_chunks(source), " ")
@@ -288,9 +293,20 @@ def _pair_blocks(source: str | bytes | BinaryIO | TextIO) -> Iterator[tuple[list
                 pass
             raise
         del tokens
-        yield numerators, denominators
+        if error is None:
+            if min(numerators, default=1) > 0:
+                yield numerators, denominators
+            else:
+                index = next(i for i, numerator in enumerate(numerators) if numerator <= 0)
+                error = _not_positive(
+                    position - len(numerators) + index + 1, numerators[index], denominators[index]
+                )
         numerators.clear()
         denominators.clear()
+    if error is not None:
+        raise error
+    if not position:
+        raise ValueError(_NO_TERMS)
 
 
 def _chunks(source: str | bytes | BinaryIO | TextIO) -> Iterator[str]:

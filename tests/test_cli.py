@@ -280,12 +280,23 @@ class TestAnalyze:
             ("1 1 2 3 5 8 0\n", "error: term 7 is not positive: 0\n"),
             ("1 1 2 3 5 8 13 -4/6\n", "error: term 8 is not positive: -2/3\n"),
             (" \n\t \r\n ", "error: a positive sequence needs at least one term\n"),
+            # no block from the first term <= 0 on reaches a classifier: the quotient
+            # route, given two zero terms, would end analyze in a ZeroDivisionError
+            ("0 0\n", "error: term 1 is not positive: 0\n"),
+            ("1 0 0 2\n", "error: term 2 is not positive: 0\n"),
+            ("3 -1 -1\n", "error: term 2 is not positive: -1\n"),
         ],
-        ids=["parse-after-non-positive", "zero-after-both", "negative-after-both", "whitespace"],
+        ids=[
+            "parse-after-non-positive", "zero-after-both", "negative-after-both", "whitespace",
+            "zeros", "zeros-inside", "negatives",
+        ],
     )
     def test_input_errors(self, runner, read_size, text, stderr):
         result = runner.invoke(cli, ["analyze"], input=text)
         assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
+        with pytest.raises(ValueError) as raised:  # the library's reader raises the same error
+            seqio.parse_sequence_file(text)
+        assert f"error: {raised.value}\n" == stderr
 
     def test_utf8_error_after_a_non_positive_term(self, runner, read_size):
         result = runner.invoke(cli, ["analyze"], input=b"1 0 22 \xff 3\n")
