@@ -2,7 +2,7 @@
 
 Formats are deliberately rigid, and one writer renders every b-file, CSV and
 plain term list, _BLOCK_TERMS lines or terms to a text piece, so that emitted
-files are bit-exact:
+files are bit-exact and a writer holds one block of text at a time:
 
 * b-file: one "<index> <value>" line per term, '#' comment lines, indices
   strictly increasing by 1;
@@ -53,9 +53,16 @@ _TOKEN_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 # The pattern is compiled (and cached by re) at first use, not at every start-up.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE = f"[^{_LINE_BREAKS}]*(?:\r\n|[{_LINE_BREAKS}])|[^{_LINE_BREAKS}]+"
-# Characters or bytes taken at a time from a sequence file: a slice, or one read() of a stream
-_READ_SIZE = 1 << 16
-_BLOCK_TERMS = 4096  # lines (or plain terms) that a writer joins into one text piece
+# Characters or bytes taken at a time from a sequence file: a slice, or one read() of a stream.
+# Set by the max RSS of `figurate analyze` on the benchmark's analyze-mixed files (CPython
+# 3.11, 2 vCPUs): 17.4-17.6 MB at 32 Ki, 17.7 at 48 Ki and 18.1 at 64 Ki; 16 Ki held 0.1 MB
+# less but cost the files of wide terms 2-3 % in time, where 32 Ki moved no file beyond noise.
+_READ_SIZE = 1 << 15
+# Lines (or plain terms) that a writer joins into one text piece. Set by the max RSS of the
+# benchmark's gen and quotients writes: 17.5-17.6 MB at 2048, 17.8 at 3072 and 18.0-18.2 at
+# 4096, with pieces joined twice; 1024 held 0.1 MB less but took a b-file write 8 % longer,
+# where 2048 took no longer. Joining each piece once (`_lines`) took 2048 to 17.3-17.4 MB.
+_BLOCK_TERMS = 2048
 
 
 class BFileParseError(ValueError):
@@ -215,9 +222,17 @@ def _term_lines(fmt: str, column: str, texts: Iterable[str]) -> Iterator[str]:
 
 
 def _lines(rows: Iterable[Iterable[str]], separator: str) -> Iterator[str]:
-    """Rows of rendered fields, a CSV header first, as text pieces of _BLOCK_TERMS lines each."""
+    """Rows of rendered fields, a CSV header first, as text pieces of _BLOCK_TERMS lines each.
+
+    Each piece is made by one join, and its lines are dropped before it is handed
+    on, so that a piece is held once while it is written.
+    """
     # each row is joined as it is read, so zip can reuse its tuple, and a block holds lines only
-    return ("\n".join(lines) + "\n" for lines in _blocks(map(separator.join, rows)))
+    for lines in _blocks(map(separator.join, rows)):
+        lines.append("")  # so that the join ends the piece with its last "\n"
+        piece = "\n".join(lines)
+        del lines
+        yield piece
 
 
 def _blocks(items: Iterator) -> Iterator[list]:

@@ -27,7 +27,8 @@ n = 1..n_max in blocks of `_BLOCK_ROWS` rows through `core._window`, pauses
 after each block, and returns (n, witness) for its first counterexample at m,
 or None; only the sweep names the check. Every open check reads a block
 before any reads the next, so the streams' shared buffers hold about one
-block and memory does not grow with n_max. A stream that ends before n_max is
+block and memory does not grow with n_max; the block size is set by the
+sweep's measured time (see `_BLOCK_ROWS`). A stream that ends before n_max is
 a counterexample, "stream ended before n=...", at the first index it could
 not fill. Rationals are integer pairs compared by cross-multiplication and
 rendered by `core._ratio_text`, never as a `Fraction`; a zero or negative
@@ -176,10 +177,13 @@ class SweepReport:
         raise KeyError(f"no summary for check {check!r}")
 
 
-# Rows that each check reads before the next check reads its block. The memory a
-# sweep holds grows with it and with the width of the values in a block: at 96 the
-# peak at n_max = 5000 stays within 2 KB of the peak at 500, at 256 it is 9 KB above.
-_BLOCK_ROWS = 96
+# Rows that each check reads before the next check reads its block. Set at the in-process
+# optimum of the default sweep (CPython 3.11, 2 vCPUs, best of 41 interleaved runs): 175 ms
+# at 96 rows, 163 at 256, 158 at 512 to 1024 and 170 at 2000; of those, 512 holds the least.
+# The memory a sweep holds grows with the block, not with n_max: the traced peak at m = 3 is
+# 172 KB at n_max 5000 and 20000 alike (47 KB at 96 rows), and without each kernel's
+# `del block` it would be twice that.
+_BLOCK_ROWS = 512
 
 
 def _blocks(first, last, *streams):

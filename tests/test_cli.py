@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import io
 import os
@@ -187,6 +188,30 @@ class TestBlockEdges:
             result = runner.invoke(cli, argv)
             assert result.exit_code == 0
             assert result.output == text, fmt
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [("gen", "plain"), ("gen", "bfile"), ("gen", "csv"), ("quotients", "plain"), ("quotients", "csv")],
+    )
+    def test_memory_does_not_grow_with_the_count(self, command, fmt):
+        # A writer holds one piece of _BLOCK_TERMS lines at a time, so ten times the terms
+        # raise the peak only by their wider digits (24-44 KB), where a writer that held its
+        # output would add megabytes. CliRunner keeps the output, so it goes to os.devnull.
+        def peak(count):
+            argv = [command, "--m", "5", "--count", str(count), "--format", fmt]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    cli.main(argv, standalone_mode=False)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(2 * _BLOCK_TERMS)  # warm-up: first-use allocations are not the output's
+        small, large = peak(10**4), peak(10**5)
+        assert large <= small + 256 * 1024, (small, large)
 
 
 class TestAnalyze:

@@ -201,23 +201,39 @@ class TestSweep:
         assert (report.first_counterexample.m, report.first_counterexample.n) == (5, 10)
 
     def test_memory_does_not_grow_with_n_max(self):
-        # every kernel streams its window; one that held it would add ~100 B a row
-        def peak(n_max):
-            tracemalloc.start()
-            try:
-                run_verify_sweep(VerifySweepConfig(m_to=3, n_max=n_max))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        # every kernel streams its window; one that held it would add ~100 B a row. Both
+        # windows are past n_max = 2000, below which a block's values are narrower, so
+        # the two peaks differ only by what the sweep keeps.
         run_verify_sweep(VerifySweepConfig(m_to=3, n_max=500))  # warm-up
-        small, large = peak(500), peak(5000)
+        small, large = sweep_peak(5000), sweep_peak(20000)
+        assert large <= small + 4096, (small, large)
+
+    def test_a_check_that_ends_first_holds_no_stream(self, monkeypatch):
+        # margins ends at once, at a counterexample; were its copy of the closed-form terms
+        # kept, the shared buffer would keep every term the other checks read after it
+        def margins_failing_at_once(m, n_max, terms):
+            return 2, "margin=0"
+            yield  # a kernel is a generator
+
+        monkeypatch.setattr(verify, "_check_margins", margins_failing_at_once)
+        run_verify_sweep(VerifySweepConfig(m_to=3, n_max=500))  # warm-up
+        small, large = sweep_peak(5000), sweep_peak(20000)
         assert large <= small + 4096, (small, large)
 
     def test_corruption_outside_window_is_invisible(self, monkeypatch):
         perturb(monkeypatch, "_first_order_terms", (9, 3), lambda term: term + 1)
         report = run_verify_sweep(VerifySweepConfig(m_to=5, n_max=30))
         assert report.passed
+
+
+def sweep_peak(n_max):
+    """The tracemalloc peak of a sweep of m = 3 up to n_max."""
+    tracemalloc.start()
+    try:
+        run_verify_sweep(VerifySweepConfig(m_to=3, n_max=n_max))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOneStreamPerM:
