@@ -14,7 +14,8 @@ Every operation here is a pure function. Conventions:
   a list of terms maps position k to index n = k.
 * All arithmetic is exact: terms are Python ints, quotients and recurrence
   coefficients are `fractions.Fraction` at the public API and integer pairs
-  inside. No floating point, ever.
+  inside. The command line computes on the pairs and never loads `fractions`.
+  No floating point, ever.
 
 The module deliberately provides several routes to the same values (two
 closed forms, a first-order recurrence, a second-order recurrence with
@@ -27,7 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+# The functions that build a Fraction import fractions themselves, so that the command line,
+# which computes on integer pairs, never loads it, nor the decimal and numbers that it imports.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MIN_POLYGON_ORDER = 3
 
@@ -149,6 +155,7 @@ def _second_order_terms(
         step = r * old + t * older
         value = step // d
         if value * d != step:
+            from fractions import Fraction
             value = Fraction(step, d)
         yield value
         older, old = old, value
@@ -291,6 +298,7 @@ def coefficient_r(m: int, n: int) -> Fraction:
 
     R(n) = (m + 2(n - 2)(m - 2)) / (1 + (n - 2)(m - 2)); always positive.
     """
+    from fractions import Fraction
     _check_polygon_order(m)
     _check_index(n, minimum=3)
     r, _, d = next(_coefficients(m, n))
@@ -302,6 +310,7 @@ def coefficient_t(m: int, n: int) -> Fraction:
 
     T(n) = -(m - 1 + (n - 2)(m - 2)) / (1 + (n - 2)(m - 2)); always negative.
     """
+    from fractions import Fraction
     _check_polygon_order(m)
     _check_index(n, minimum=3)
     _, t, d = next(_coefficients(m, n))
@@ -341,6 +350,7 @@ def quotient_direct(m: int, count: int) -> list[Fraction]:
 
     x(1) equals m exactly.
     """
+    from fractions import Fraction
     _check_polygon_order(m)
     _check_index(count, what="count")
     quotients = _direct_quotients(m, _closed_form_terms(m))
@@ -358,6 +368,7 @@ def quotient_recurrence(m: int, count: int) -> list[Fraction]:
     which is R(n + 1) + T(n + 1) / x(n - 1) in terms of the recurrence
     coefficients. Must agree with :func:`quotient_direct` element-wise.
     """
+    from fractions import Fraction
     _check_polygon_order(m)
     _check_index(count, what="count")
     quotients = _recurrence_quotients(m, _coefficients(m))

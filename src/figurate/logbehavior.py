@@ -24,11 +24,15 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from figurate import core, verify
 from figurate.core import _check_index, _check_polygon_order, _compare, _is_int
+
+# Imported where a Fraction is built or tested, as in core: the command line never loads fractions.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "LogBehavior",
@@ -83,11 +87,12 @@ class PositiveSequence(Sequence):
     __slots__ = ("_numerators", "_denominators", "_terms")
 
     def __init__(self, terms: Iterable[int | Fraction]):
+        from fractions import Fraction
         _reject_bytes(terms)
         numerators: list[int] = []
         denominators: list[int] = []
         for position, term in enumerate(terms, start=1):
-            numerator, denominator = _exact_pair(position, term)
+            numerator, denominator = _exact_pair(position, term, Fraction)
             if numerator <= 0:
                 raise _not_positive(position, numerator, denominator)
             numerators.append(numerator)
@@ -117,6 +122,7 @@ class PositiveSequence(Sequence):
     @property
     def terms(self) -> tuple[Fraction, ...]:
         if self._terms is None:
+            from fractions import Fraction
             self._terms = tuple(map(Fraction, self._numerators, self._denominators))
         return self._terms
 
@@ -142,10 +148,12 @@ class PositiveSequence(Sequence):
         return f"PositiveSequence([{rendered}])"
 
 
-def _exact_pair(position: int, term: int | Fraction) -> tuple[int, int]:
+def _exact_pair(position: int, term: int | Fraction, fraction: type[Fraction]) -> tuple[int, int]:
+    """`term` as an integer pair; `fraction` is the Fraction class, which the caller imports once,
+    not once per term."""
     if _is_int(term):
         return term, 1
-    if isinstance(term, Fraction):
+    if isinstance(term, fraction):
         return term.numerator, term.denominator
     if isinstance(term, (bool, float)):
         raise TypeError(
@@ -446,13 +454,14 @@ def check_quotient_bounds(
     the bounds are decided on integers: x <= 1 when p <= q, x > m when
     p > m q.
     """
+    from fractions import Fraction
     _check_polygon_order(m)
     _reject_bytes(quotients)
     first_low: int | None = None
     first_high: int | None = None
     position = 0
     for position, x in enumerate(quotients, start=1):
-        p, q = _exact_pair(position, x)
+        p, q = _exact_pair(position, x, Fraction)
         if p <= q and first_low is None:
             first_low = position
         if p > m * q and first_high is None:

@@ -29,11 +29,14 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import BinaryIO, TextIO
+from typing import TYPE_CHECKING, BinaryIO, TextIO
 
 from figurate.core import _is_int
 from figurate.logbehavior import _NO_TERMS, PositiveSequence, _not_positive
+
+# emit_csv imports fractions itself, as core does: the command line never loads it.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BFileRecord",
@@ -61,7 +64,7 @@ _READ_SIZE = 1 << 15
 # Lines (or plain terms) that a writer joins into one text piece. Set by the max RSS of the
 # benchmark's gen and quotients writes: 17.5-17.6 MB at 2048, 17.8 at 3072 and 18.0-18.2 at
 # 4096, with pieces joined twice; 1024 held 0.1 MB less but took a b-file write 8 % longer,
-# where 2048 took no longer. Joining each piece once (`_lines`) took 2048 to 17.3-17.4 MB.
+# where 2048 took no longer. Joining each piece once took 2048 to 17.3-17.4 MB.
 _BLOCK_TERMS = 2048
 
 
@@ -172,7 +175,8 @@ def emit_bfile(offset: int, values: Iterable[int]) -> str:
             )
     if not values:
         raise ValueError("cannot emit an empty b-file")
-    return "".join(_lines(zip(map(str, itertools.count(offset)), map(str, values)), " "))
+    rows = zip(map(str, itertools.count(offset)), map(str, values))
+    return "".join(_joined(map(" ".join, rows), "\n"))
 
 
 def emit_csv(columns: Mapping[str, Iterable[int | Fraction]]) -> str:
@@ -185,6 +189,7 @@ def emit_csv(columns: Mapping[str, Iterable[int | Fraction]]) -> str:
     per column. Each column is read once, so an iterator serves. All columns
     must be the same length; an empty mapping is an error.
     """
+    from fractions import Fraction
     if not columns:
         raise ValueError("cannot emit CSV with no columns")
     for name, values in columns.items():
@@ -208,36 +213,38 @@ def emit_csv(columns: Mapping[str, Iterable[int | Fraction]]) -> str:
                     "only exact ints or Fractions are accepted"
                 )
     rows = zip(*(map(str, values) for values in columns.values()))
-    return "".join(_lines(itertools.chain([tuple(columns)], rows), ","))
+    return "".join(_joined(map(",".join, itertools.chain([tuple(columns)], rows)), "\n"))
 
 
 def _term_lines(fmt: str, column: str, texts: Iterable[str]) -> Iterator[str]:
     """Rendered terms n = 1, 2, ... as text pieces: "plain" is one line of terms separated by
     spaces, "bfile" a b-file, and "csv" a CSV with the columns "n" and `column`."""
     if fmt == "plain":
-        pieces = map(" ".join, _blocks(iter(texts)))
-        return itertools.chain(itertools.islice(pieces, 1), (" " + piece for piece in pieces), ["\n"])
-    rows = zip(map(str, itertools.count(1)), texts)
-    return _lines(rows, " ") if fmt == "bfile" else _lines(itertools.chain([("n", column)], rows), ",")
-
-
-def _lines(rows: Iterable[Iterable[str]], separator: str) -> Iterator[str]:
-    """Rows of rendered fields, a CSV header first, as text pieces of _BLOCK_TERMS lines each.
-
-    Each piece is made by one join, and its lines are dropped before it is handed
-    on, so that a piece is held once while it is written.
-    """
+        return _joined(texts, " ")
     # each row is joined as it is read, so zip can reuse its tuple, and a block holds lines only
-    for lines in _blocks(map(separator.join, rows)):
-        lines.append("")  # so that the join ends the piece with its last "\n"
-        piece = "\n".join(lines)
-        del lines
+    rows = zip(map(str, itertools.count(1)), texts)
+    if fmt == "bfile":
+        return _joined(map(" ".join, rows), "\n")
+    return _joined(map(",".join, itertools.chain([("n", column)], rows)), "\n")
+
+
+def _joined(items: Iterable[str], separator: str) -> Iterator[str]:
+    """The items joined by `separator`, then "\n", as text pieces of _BLOCK_TERMS items each.
+
+    Each piece is one join of its block, which starts with "" when a block came before it,
+    so that the join also separates the two. The block is dropped before the piece is
+    handed on, so that a piece is held once while it is written.
+    """
+    items = iter(items)
+    later = False  # whether a block came before this one
+    for block in iter(lambda: list(itertools.islice(items, _BLOCK_TERMS)), []):
+        if later:
+            block.insert(0, "")
+        piece = separator.join(block)
+        del block
         yield piece
-
-
-def _blocks(items: Iterator) -> Iterator[list]:
-    """The rest of an iterator in lists of _BLOCK_TERMS, the last one shorter and none empty."""
-    return iter(lambda: list(itertools.islice(items, _BLOCK_TERMS)), [])
+        later = True
+    yield "\n"
 
 
 def parse_sequence_file(source: str | bytes | BinaryIO | TextIO) -> PositiveSequence:

@@ -190,6 +190,19 @@ class TestBlockEdges:
             assert result.output == text, fmt
 
 
+def writer_peak(command, fmt, count):
+    """The traced peak of a gen or quotients write of `count` terms at m = 5. CliRunner keeps
+    the output, so it goes to os.devnull."""
+    argv = [command, "--m", "5", "--count", str(count), "--format", fmt]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            cli.main(argv, standalone_mode=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 class TestWriterMemory:
     @pytest.mark.parametrize(
         "command, fmt",
@@ -198,20 +211,17 @@ class TestWriterMemory:
     def test_memory_does_not_grow_with_the_count(self, command, fmt):
         # A writer holds one piece of _BLOCK_TERMS lines at a time, so ten times the terms
         # raise the peak only by their wider digits (24-44 KB), where a writer that held its
-        # output would add megabytes. CliRunner keeps the output, so it goes to os.devnull.
-        def peak(count):
-            argv = [command, "--m", "5", "--count", str(count), "--format", fmt]
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                tracemalloc.start()
-                try:
-                    cli.main(argv, standalone_mode=False)
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-
-        peak(2 * _BLOCK_TERMS)  # warm-up: first-use allocations are not the output's
-        small, large = peak(10**4), peak(10**5)
+        # output would add megabytes.
+        writer_peak(command, fmt, 2 * _BLOCK_TERMS)  # warm-up: first-use allocations are not the output's
+        small, large = writer_peak(command, fmt, 10**4), writer_peak(command, fmt, 10**5)
         assert large <= small + 256 * 1024, (small, large)
+
+    def test_plain_peaks_no_higher_than_csv(self):
+        # plain writes fewer bytes than CSV, so a piece made once peaks lower; a plain piece
+        # copied after its join (" " + piece) peaks above CSV's
+        writer_peak("quotients", "plain", 2 * _BLOCK_TERMS)  # warm-up
+        plain, csv_peak = writer_peak("quotients", "plain", 10**5), writer_peak("quotients", "csv", 10**5)
+        assert plain <= csv_peak, (plain, csv_peak)
 
 
 class TestAnalyze:
@@ -544,6 +554,40 @@ class TestEntryPoints:
             proc.stdout.close()
             assert proc.wait(timeout=60) == -signal.SIGPIPE
             assert proc.stderr.read() == b""
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["--help"], ""),
+            (["gen", "--m", "5", "--count", "10"], ""),
+            (["gen", "--m", "5", "--count", "10", "--format", "bfile"], ""),
+            (["gen", "--m", "5", "--count", "10", "--format", "csv"], ""),
+            (["quotients", "--m", "5", "--count", "10"], ""),
+            (["quotients", "--m", "5", "--count", "10", "--format", "csv"], ""),
+            (["analyze"], "1 5 12 22 35\n"),
+            (["analyze"], "3 2 5/3 3/2\n"),
+            (["verify", "--m-to", "4", "--n-max", "50"], ""),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value.strip(),
+    )
+    def test_no_command_imports_fractions(self, argv, stdin):
+        # The command line computes on integer pairs: it never imports fractions, nor the
+        # decimal and numbers that fractions imports. pytest has imported them in this
+        # process, so each command runs in its own, whose every import -X importtime lists.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "figurate", *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "figurate.cli" in imported
+        assert imported.isdisjoint({"fractions", "decimal", "_decimal", "numbers"})
 
     def test_runtime_imports_only_click_and_the_standard_library(self):
         # click is the one declared runtime dependency: importing the package

@@ -1,5 +1,6 @@
 """Tests for sequence classification, quotient checks, and the criterion."""
 
+import builtins
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -284,6 +285,37 @@ def test_bytes_are_not_terms(function, kind):
         function(kind(b"1 3 6 10 15"))
     function([1, 3, 6, 10, 15])
     assert parse_sequence_file(kind(b"1 3 6 10 15")) == PositiveSequence([1, 3, 6, 10, 15])
+
+
+class TestFractionImport:
+    # fractions is imported inside the functions that build or test a Fraction, so that the
+    # command line never loads it; an import statement per term would make 1 000 calls here
+    TERMS = [Fraction(k + 2, k + 1) for k in range(1000)]
+
+    @staticmethod
+    def import_calls(monkeypatch, function, *args):
+        calls = 0
+        real_import = builtins.__import__
+
+        def counted(*import_args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_import(*import_args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "__import__", counted)
+            result = function(*args)
+        return calls, result
+
+    def test_a_sequence_imports_once(self, monkeypatch):
+        calls, sequence = self.import_calls(monkeypatch, PositiveSequence, self.TERMS)
+        assert calls <= 1
+        assert sequence.terms == tuple(self.TERMS)
+
+    def test_the_bounds_check_imports_once(self, monkeypatch):
+        calls, report = self.import_calls(monkeypatch, check_quotient_bounds, 3, self.TERMS)
+        assert calls <= 1
+        assert report == logbehavior.BoundsReport(None, None)
 
 
 class TestQuotientBounds:

@@ -358,6 +358,19 @@ class TestTermLines:
         assert "".join(pieces) == " ".join(texts) + "\n"
         assert len(pieces) == -(-count // _BLOCK_TERMS) + 1
 
+    @pytest.mark.parametrize("count", [1, _BLOCK_TERMS - 1, _BLOCK_TERMS, _BLOCK_TERMS + 1, 2 * _BLOCK_TERMS + 1])
+    @pytest.mark.parametrize("fmt", ["bfile", "csv"])
+    def test_lines_come_in_blocks(self, fmt, count):
+        # _BLOCK_TERMS lines to a piece, a CSV header included, then "\n" alone
+        texts = [str(k * k) for k in range(count)]
+        if fmt == "bfile":
+            lines = [f"{n} {text}" for n, text in enumerate(texts, start=1)]
+        else:
+            lines = ["n,S", *(f"{n},{text}" for n, text in enumerate(texts, start=1))]
+        pieces = list(_term_lines(fmt, "S", texts))
+        assert "".join(pieces) == "".join(line + "\n" for line in lines)
+        assert len(pieces) == -(-len(lines) // _BLOCK_TERMS) + 1
+
 
 class TestParseSequenceFile:
     def test_integers(self):
